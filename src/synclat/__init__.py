@@ -49,9 +49,6 @@ from .partition import (
     PartitionPair,
     characteristic_matrix,
     induced_partition,
-    is_finer,
-    join,
-    meet,
 )
 from .rational import (
     RationalMatrix,
@@ -116,13 +113,10 @@ __all__ = [
     "incidence_family",
     "induced_partition",
     "invariant_lattice",
-    "is_finer",
     "is_invariant",
     "is_tactical",
-    "join",
     "laplacian",
     "matmul",
-    "meet",
     "monochrome_adjacency",
     "network_from_adjacencies",
     "path_graph",

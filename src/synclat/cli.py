@@ -327,11 +327,16 @@ def _cmd_tactical(args) -> int:
         family = incidence_family(_incidence_from_path(args.incidence))
     else:
         family = _family_from_path(args.matrices)
-    lattice = tactical_lattice(family, element_cap=args.cap)
+    lattice = _tactical(family, args)
     _emit_lattice(lattice, args.format)
     if args.verify and _verify_tactical(lattice, family) is False:
         return 4
     return 0
+
+
+def _tactical(family: MatrixFamily, args) -> InvariantLattice:
+    workers = _resolve_workers(args.workers, max(family.rows, family.cols))
+    return tactical_lattice(family, workers=workers, element_cap=args.cap)
 
 
 def _cmd_network(args, exo: bool) -> int:
@@ -386,11 +391,11 @@ def _cmd_verify(args) -> int:
             lat = invariant_lattice(family, workers=workers, element_cap=args.cap)
             checks.append(_verify_square(lat, family, None, "lattice"))
         else:
-            lat = tactical_lattice(family, element_cap=args.cap)
+            lat = _tactical(family, args)
             checks.append(_verify_tactical(lat, family))
     elif args.incidence:
         family = incidence_family(_incidence_from_path(args.incidence))
-        lat = tactical_lattice(family, element_cap=args.cap)
+        lat = _tactical(family, args)
         checks.append(_verify_tactical(lat, family))
     elif args.network:
         net = _network_from_path(args.network)

@@ -1,42 +1,41 @@
 """Enumeration of the full lattice of invariant partitions (or tactical
-decompositions) of a matrix family.
+decompositions) of a matrix family, by split and cir.
 
-The search starts from the coarsest invariant partition (the refinement
-fixpoint of the one-class partition), then repeatedly pops an invariant
-partition from a FIFO queue, forms every lower cover by splitting one class
-in two, and runs the refinement fixpoint on each cover.  Every fixpoint is an
-invariant partition; a seen-set keyed on canonical colorings ensures each
-element is enqueued at most once.  Since every invariant partition below a
-popped element is reachable through some cover, the search is exhaustive.
+One search serves both.  An element is a tuple of canonical colorings, one
+per side: the ground set of a square family, or the rows and the columns of
+a possibly rectangular one.  The search starts from the refinement fixpoint
+of the one-class element, then repeatedly pops an element, forms every lower
+cover by splitting one class of one side in two, and runs the refinement
+fixpoint (cir) on each cover.  Every fixpoint is invariant (tactical, for two
+sides); a seen-set of elements ensures each is expanded at most once.  Since
+every invariant element below a popped one is reachable through some cover,
+the search is exhaustive.
+
+The splits of an element are cut into tasks ``(element, side, class color,
+mask lo, mask hi)``.  With one worker the tasks run inline, in queue order;
+with more they run in a process pool, submitted as soon as their element is
+found.  Results are set-valued and order-independent, so the output is
+identical for any worker count.
 
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice: meets differ, so cover edges are recomputed here by
 transitive reduction of refinement restricted to the enumerated elements
 rather than inherited from the ambient lattice.
-
-Enumeration can fan the cover refinements out over worker processes; results
-are set-valued and order-independent, so the output is identical for any
-worker count.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .partition import (
-    Partition,
-    PartitionPair,
-    canonical_coloring,
-    iter_cover_colorings,
-)
+from .partition import Partition, PartitionPair, _split_labels, canonical_coloring
 from .refine import (
     MatrixFamily,
     _square_fixpoint,
     _start_state,
+    _tactical_engines,
     tactical_fixpoint_colorings,
 )
 
@@ -62,10 +61,11 @@ class LatticeStats:
 
     ``visited_partitions`` counts the distinct partitions materialized during
     the whole run: the start partition, every split candidate, and every
-    intermediate step of every refinement chain.  It is collected exactly in
-    sequential mode (up to ``visited_cap``, after which ``visited_exact``
-    drops to False); multi-worker runs report None since unioning the
-    per-worker sets would dwarf the actual computation.
+    intermediate step of every refinement chain (pairs of partitions for a
+    tactical lattice).  It is collected exactly in every ``workers == 1``
+    run, square or tactical (up to ``visited_cap``, after which
+    ``visited_exact`` drops to False); multi-worker runs report None since
+    unioning the per-worker sets would dwarf the actual computation.
 
     ``queue_peak`` measures the element queue in sequential mode and the
     outstanding task set in worker mode (where it can vary with scheduling;
@@ -182,30 +182,25 @@ def hasse_edges(elements: Sequence[Element]) -> list:
 class _VisitedSet:
     """Distinct-partition tracker with a saturation cap."""
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, sides: tuple):
         self.cap = cap
         self.items: set = set()
         self.exact = True
+        # colors are bounded by the side length, so byte strings are a
+        # compact set key
+        self.compact = max(sides) < 256
 
-    def add(self, key) -> None:
+    def add(self, element: tuple) -> None:
+        """Add an element given as one canonical coloring per side."""
         if self.exact:
-            self.items.add(key)
+            self.items.add(b"\x00".join(map(bytes, element)) if self.compact else element)
             if len(self.items) > self.cap:
                 self.exact = False
 
-    def count(self) -> int:
-        return len(self.items)
-
-
-def _encode(coloring: tuple):
-    # colors are bounded by n, so byte strings are a compact set key
-    return bytes(coloring) if len(coloring) < 256 else coloring
-
-
-def _encode_pair(ca: tuple, cb: tuple):
-    if len(ca) < 256 and len(cb) < 256:
-        return bytes(ca) + b"\x00" + bytes(cb)
-    return (ca, cb)
+    def record(self, *labelings) -> None:
+        """Add the element given by one labeling per side."""
+        if self.exact:
+            self.add(tuple(map(canonical_coloring, labelings)))
 
 
 def invariant_lattice(
@@ -227,172 +222,11 @@ def invariant_lattice(
         raise ValueError(
             f"invariant_lattice needs a square family, got {family.rows}x{family.cols}"
         )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1:
-        colorings, stats = _enumerate_sequential(family, element_cap, visited_cap)
-    else:
-        colorings, stats = _enumerate_parallel(family, workers, element_cap)
-    elements = tuple(
-        Partition._from_canonical(c) for c in sorted(colorings)
+    found, stats = _search(
+        (family.engine(),), (family.cols,), workers, element_cap, visited_cap
     )
+    elements = tuple(Partition._from_canonical(c) for (c,) in found)
     return InvariantLattice(elements, tuple(hasse_edges(elements)), stats)
-
-
-def _enumerate_sequential(
-    family: MatrixFamily, element_cap: int, visited_cap: int
-) -> tuple:
-    n = family.cols
-    engine = family.engine()
-    visited = _VisitedSet(visited_cap)
-    cir_calls = 0
-    splits = 0
-
-    def run_chain(coloring: tuple) -> tuple:
-        nonlocal cir_calls
-        cir_calls += 1
-        visited.add(_encode(coloring))
-        col, classes = _start_state(coloring)
-        _square_fixpoint(
-            engine,
-            col,
-            classes,
-            on_step=lambda c: visited.add(_encode(canonical_coloring(c))),
-        )
-        return canonical_coloring(col)
-
-    top = run_chain(tuple([1] * n))
-    seen = {top}
-    queue = deque([top])
-    queue_peak = 1
-    popped = 0
-    while queue:
-        current = queue.popleft()
-        popped += 1
-        for cover in iter_cover_colorings(current):
-            splits += 1
-            result = run_chain(cover)
-            if result not in seen:
-                seen.add(result)
-                if len(seen) > element_cap:
-                    raise ElementCapExceeded(len(seen), element_cap)
-                queue.append(result)
-                if len(queue) > queue_peak:
-                    queue_peak = len(queue)
-    stats = LatticeStats(
-        cir_calls=cir_calls,
-        splits_examined=splits,
-        queue_peak=queue_peak,
-        popped=popped,
-        visited_partitions=visited.count(),
-        visited_exact=visited.exact,
-    )
-    return seen, stats
-
-
-# ---------------------------------------------------------------------------
-# multi-worker enumeration
-
-
-_WORKER_ENGINE = None
-
-
-def _pool_init(payload) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = payload
-
-
-def _pool_run_splits(task) -> set:
-    """Refine a contiguous range of one-class splits of ``parent``.
-
-    The split convention matches the sequential path: the smallest member of
-    the class stays put and mask bit t moves the (t+1)-th member out.
-    """
-    parent, class_color, lo, hi = task
-    engine = _WORKER_ENGINE
-    members = [i for i, c in enumerate(parent) if c == class_color]
-    rest = members[1:]
-    k = max(parent)
-    results = set()
-    for mask in range(lo, hi):
-        labels = list(parent)
-        m = mask
-        t = 0
-        while m:
-            if m & 1:
-                labels[rest[t]] = k + 1
-            m >>= 1
-            t += 1
-        col = [c - 1 for c in labels]
-        classes: list = [[] for _ in range(k + 1)]
-        for i, c in enumerate(col):
-            classes[c].append(i)
-        _square_fixpoint(engine, col, classes)
-        results.add(canonical_coloring(col))
-    return results
-
-
-def _split_tasks(coloring: tuple) -> Iterable[tuple]:
-    k = max(coloring)
-    sizes = [0] * k
-    for c in coloring:
-        sizes[c - 1] += 1
-    for color, s in enumerate(sizes, start=1):
-        if s < 2:
-            continue
-        end = 1 << (s - 1)
-        for lo in range(1, end, _TASK_CHUNK):
-            yield (coloring, color, lo, min(lo + _TASK_CHUNK, end))
-
-
-def _enumerate_parallel(family: MatrixFamily, workers: int, element_cap: int) -> tuple:
-    n = family.cols
-    engine = family.engine()
-    col, classes = _start_state(tuple([1] * n))
-    _square_fixpoint(engine, col, classes)
-    top = canonical_coloring(col)
-    seen = {top}
-    cir_calls = 1
-    splits = 0
-    queue_peak = 0
-    popped = 0
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(engine,)
-    ) as pool:
-        pending = set()
-
-        def expand(coloring: tuple) -> None:
-            nonlocal splits
-            for task in _split_tasks(coloring):
-                splits += task[3] - task[2]
-                pending.add(pool.submit(_pool_run_splits, task))
-
-        expand(top)
-        popped += 1
-        while pending:
-            queue_peak = max(queue_peak, len(pending))
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                batch = fut.result()
-                for result in batch:
-                    if result not in seen:
-                        seen.add(result)
-                        if len(seen) > element_cap:
-                            for p in pending:
-                                p.cancel()
-                            raise ElementCapExceeded(len(seen), element_cap)
-                        expand(result)
-                        popped += 1
-    cir_calls += splits
-    stats = LatticeStats(
-        cir_calls=cir_calls,
-        splits_examined=splits,
-        queue_peak=queue_peak,
-        popped=popped,
-        visited_partitions=None,
-        visited_exact=False,
-    )
-    return seen, stats
 
 
 def tactical_lattice(
@@ -404,71 +238,147 @@ def tactical_lattice(
 ) -> InvariantLattice:
     """All tactical decompositions of a (possibly rectangular) family.
 
-    Same queue scheme as :func:`invariant_lattice` with pair covers (split
-    one class on either side) and the two-sided refinement fixpoint.  The
-    pair of all-singletons partitions is always tactical, so the lattice is
-    never empty.  Runs sequentially regardless of ``workers``; the tactical
-    inputs this targets are far below the scale where processes pay off.
+    Same search as :func:`invariant_lattice` with pair covers (split one
+    class on either side) and the two-sided refinement fixpoint, and the
+    same use of ``workers``.  The pair of all-singletons partitions is always
+    tactical, so the lattice is never empty.
     """
-    del workers  # accepted for interface symmetry; see docstring
-    m, n = family.rows, family.cols
-    family.engine()  # build both engines once before the hot loop
-    family.transposed().engine()
-    visited = _VisitedSet(visited_cap)
-    cir_calls = 0
-    splits = 0
+    found, stats = _search(
+        _tactical_engines(family),
+        (family.rows, family.cols),
+        workers,
+        element_cap,
+        visited_cap,
+    )
+    elements = tuple(
+        PartitionPair(Partition._from_canonical(a), Partition._from_canonical(b))
+        for a, b in found
+    )
+    return InvariantLattice(elements, tuple(hasse_edges(elements)), stats)
 
-    def run_chain(ca: tuple, cb: tuple) -> tuple:
-        nonlocal cir_calls
-        cir_calls += 1
-        visited.add(_encode_pair(ca, cb))
-        out = tactical_fixpoint_colorings(
-            family,
-            ca,
-            cb,
-            on_step=lambda a, b: visited.add(
-                _encode_pair(canonical_coloring(a), canonical_coloring(b))
-            ),
-        )
-        return out
 
-    top = run_chain(tuple([1] * m), tuple([1] * n))
+def _search(
+    engines: tuple, sides: tuple, workers: int, element_cap: int, visited_cap: int
+) -> tuple:
+    """Split and cir from the one-class element; returns the sorted elements
+    (one canonical coloring per side) and the stats.
+
+    With one engine the elements are invariant partitions; with the engines
+    of a family and of its transpose they are tactical pairs.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    visited = _VisitedSet(visited_cap, sides) if workers == 1 else None
+    top = _fixpoint(engines, tuple(tuple([1] * s) for s in sides), visited)
     seen = {top}
-    queue = deque([top])
-    queue_peak = 1
+    splits = 0
     popped = 0
-    while queue:
-        ca, cb = queue.popleft()
+
+    def discover(batch) -> list:
+        fresh = [e for e in batch if e not in seen]
+        for element in fresh:
+            seen.add(element)
+            if len(seen) > element_cap:
+                raise ElementCapExceeded(len(seen), element_cap)
+        return fresh
+
+    def expand(element: tuple) -> list:
+        nonlocal splits, popped
         popped += 1
-        covers = itertools.chain(
-            ((split, cb) for split in iter_cover_colorings(ca)),
-            (((ca, split)) for split in iter_cover_colorings(cb)),
+        tasks = list(_split_tasks(element))
+        splits += sum(hi - lo for *_, lo, hi in tasks)
+        return tasks
+
+    if workers == 1:
+        queue = deque([top])
+        queue_peak = 1
+        while queue:
+            for task in expand(queue.popleft()):
+                queue.extend(discover(_run_task(engines, task, visited)))
+                queue_peak = max(queue_peak, len(queue))
+    else:
+        queue_peak = 0
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_pool_init, initargs=(engines,)
         )
-        for cover_a, cover_b in covers:
-            splits += 1
-            result = run_chain(cover_a, cover_b)
-            if result not in seen:
-                seen.add(result)
-                if len(seen) > element_cap:
-                    raise ElementCapExceeded(len(seen), element_cap)
-                queue.append(result)
-                if len(queue) > queue_peak:
-                    queue_peak = len(queue)
+        try:
+            pending = {pool.submit(_pool_run_task, t) for t in expand(top)}
+            while pending:
+                queue_peak = max(queue_peak, len(pending))
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    for element in discover(fut.result()):
+                        pending.update(
+                            pool.submit(_pool_run_task, t) for t in expand(element)
+                        )
+        finally:
+            pool.shutdown(cancel_futures=True)
     stats = LatticeStats(
-        cir_calls=cir_calls,
+        cir_calls=1 + splits,
         splits_examined=splits,
         queue_peak=queue_peak,
         popped=popped,
-        visited_partitions=visited.count(),
-        visited_exact=visited.exact,
+        visited_partitions=len(visited.items) if visited is not None else None,
+        visited_exact=visited is not None and visited.exact,
     )
-    elements = tuple(
-        PartitionPair(
-            Partition._from_canonical(a), Partition._from_canonical(b)
-        )
-        for a, b in sorted(seen)
-    )
-    return InvariantLattice(elements, tuple(hasse_edges(elements)), stats)
+    return sorted(seen), stats
+
+
+def _split_tasks(element: tuple) -> Iterable[tuple]:
+    """``(element, side, class color, mask lo, mask hi)`` ranges covering
+    every one-class split of every side, in ``_TASK_CHUNK`` masks each."""
+    for side, coloring in enumerate(element):
+        for color, size in Counter(coloring).items():
+            end = 1 << (size - 1)
+            for lo in range(1, end, _TASK_CHUNK):
+                yield (element, side, color, lo, min(lo + _TASK_CHUNK, end))
+
+
+def _run_task(
+    engines: tuple, task: tuple, visited: Optional[_VisitedSet] = None
+) -> dict:
+    """Refine every split of one task; returns the distinct fixpoints in
+    order of first appearance."""
+    element, side, color, lo, hi = task
+    found: dict = {}
+    for labels in _split_labels(element[side], color, lo, hi):
+        if visited is not None:
+            # visited keys are canonical, as the other sides already are
+            labels = canonical_coloring(labels)
+        start = element[:side] + (labels,) + element[side + 1 :]
+        found[_fixpoint(engines, start, visited)] = None
+    return found
+
+
+def _fixpoint(
+    engines: tuple, start: tuple, visited: Optional[_VisitedSet] = None
+) -> tuple:
+    """cir of a start element given by one 1-based labeling per side, as one
+    canonical coloring per side.  ``visited`` gets the start, which must then
+    be canonical, and every refinement step."""
+    record = None
+    if visited is not None:
+        visited.add(start)
+        record = visited.record
+    if len(start) == 1:
+        col, classes = _start_state(start[0])
+        _square_fixpoint(engines[0], col, classes, record)
+        return (canonical_coloring(col),)
+    return tactical_fixpoint_colorings(*engines, *start, on_step=record)
+
+
+# Pool workers receive the engines once, through the initializer, instead of
+# with every task.
+_WORKER_ENGINES = None
+
+
+def _pool_init(engines: tuple) -> None:
+    global _WORKER_ENGINES
+    _WORKER_ENGINES = engines
+
+
+def _pool_run_task(task: tuple) -> dict:
+    return _run_task(_WORKER_ENGINES, task)
 
 
 def filter_below(lattice: InvariantLattice, top: Partition) -> InvariantLattice:

@@ -15,6 +15,7 @@ output; Partition deliberately implements neither __lt__ nor __le__.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .rational import RationalMatrix
@@ -222,27 +223,33 @@ def _parse_element(tok: str, n: int) -> int:
 
 def iter_cover_colorings(coloring: Sequence[int]) -> Iterator[tuple]:
     """Canonical colorings of all one-class splits of a canonical coloring."""
-    n = len(coloring)
-    k = max(coloring)
-    members: list = [[] for _ in range(k)]
-    for i, c in enumerate(coloring):
-        members[c - 1].append(i)
-    fresh = k + 1
-    for cls in members:
-        s = len(cls)
-        if s < 2:
-            continue
-        rest = cls[1:]
-        for mask in range(1, 1 << (s - 1)):
-            labels = list(coloring)
-            m = mask
-            t = 0
-            while m:
-                if m & 1:
-                    labels[rest[t]] = fresh
-                m >>= 1
-                t += 1
+    # a canonical coloring numbers its classes in order of first occurrence
+    for color, size in Counter(coloring).items():
+        for labels in _split_labels(coloring, color, 1, 1 << (size - 1)):
             yield canonical_coloring(labels)
+
+
+def _split_labels(
+    coloring: Sequence[int], color: int, lo: int, hi: int
+) -> Iterator[list]:
+    """Labelings of the splits of class ``color`` for masks ``lo..hi-1``.
+
+    The smallest member of the class keeps ``color`` and mask bit t moves the
+    (t+1)-th other member to the fresh class ``max(coloring) + 1``.  Masks
+    ``1..2**(s-1)-1`` of a class of size s give each unordered bipartition
+    exactly once.  The labelings are 1-based but not canonical.
+    """
+    rest = [i for i, c in enumerate(coloring) if c == color][1:]
+    fresh = max(coloring) + 1
+    for mask in range(lo, hi):
+        labels = list(coloring)
+        t = 0
+        while mask:
+            if mask & 1:
+                labels[rest[t]] = fresh
+            mask >>= 1
+            t += 1
+        yield labels
 
 
 def induced_partition(matrix: RationalMatrix) -> Partition:
@@ -257,18 +264,6 @@ def characteristic_matrix(part: Partition) -> RationalMatrix:
     return RationalMatrix(
         [[1 if c == a else 0 for a in range(1, k + 1)] for c in part.coloring]
     )
-
-
-def is_finer(a: Partition, b: Partition) -> bool:
-    return a.refines(b)
-
-
-def meet(a: Partition, b: Partition) -> Partition:
-    return a.meet(b)
-
-
-def join(a: Partition, b: Partition) -> Partition:
-    return a.join(b)
 
 
 class PartitionPair:

@@ -357,20 +357,21 @@ def is_tactical(family: MatrixFamily, pair: PartitionPair) -> bool:
 
 
 def tactical_fixpoint_colorings(
-    family: MatrixFamily,
+    fwd: tuple,
+    bwd: tuple,
     ca: Sequence[int],
     cb: Sequence[int],
     on_step: Optional[Callable[[list, list], None]] = None,
 ) -> tuple:
-    """Raw tactical refinement; takes and returns canonical coloring tuples.
+    """Raw tactical refinement on the engines of a family (``fwd``) and of
+    its transpose (``bwd``); takes 1-based row and column labelings and
+    returns canonical coloring tuples.
 
     Both sides advance from the same step-k state: the row side is split by
     the family against the step-k column coloring, the column side by the
     transposed family against the step-k row coloring, and only then are both
     updates applied.
     """
-    fwd = family.engine()
-    bwd = family.transposed().engine()
     col_a, classes_a = _start_state(ca)
     col_b, classes_b = _start_state(cb)
     m, n = len(col_a), len(col_b)
@@ -397,7 +398,7 @@ def tactical_cir(family: MatrixFamily, pair: PartitionPair) -> PartitionPair:
     decomposition of the family that refines ``pair`` coordinatewise."""
     _check_shape(family, pair)
     ca, cb = tactical_fixpoint_colorings(
-        family, pair.row_part.coloring, pair.col_part.coloring
+        *_tactical_engines(family), pair.row_part.coloring, pair.col_part.coloring
     )
     return PartitionPair(
         Partition._from_canonical(ca), Partition._from_canonical(cb)
@@ -409,7 +410,7 @@ def tactical_cir_chain(family: MatrixFamily, pair: PartitionPair) -> list:
     _check_shape(family, pair)
     chain = [(pair.row_part.coloring, pair.col_part.coloring)]
     tactical_fixpoint_colorings(
-        family,
+        *_tactical_engines(family),
         pair.row_part.coloring,
         pair.col_part.coloring,
         on_step=lambda a, b: chain.append(
@@ -420,6 +421,10 @@ def tactical_cir_chain(family: MatrixFamily, pair: PartitionPair) -> list:
         PartitionPair(Partition._from_canonical(a), Partition._from_canonical(b))
         for a, b in chain
     ]
+
+
+def _tactical_engines(family: MatrixFamily) -> tuple:
+    return family.engine(), family.transposed().engine()
 
 
 def _check_square(family: MatrixFamily, part: Partition) -> None:

@@ -230,3 +230,8 @@ def test_workers_flag_matches_sequential(capsys):
         capsys, "lattice", "--matrices", path("fig1.json"), "--workers", "2"
     )[1]
     assert base == par
+    base = run(capsys, "tactical", "--incidence", path("fano.json"))[1]
+    par = run(
+        capsys, "tactical", "--incidence", path("fano.json"), "--workers", "2"
+    )[1]
+    assert base == par

@@ -12,6 +12,7 @@ from synclat import (
     hasse_edges,
     invariant_lattice,
     is_invariant,
+    tactical_lattice,
     zeros,
 )
 from conftest import FIG1_BARS, bar
@@ -150,6 +151,10 @@ def test_element_cap():
     assert info.value.count == 11
     with pytest.raises(ElementCapExceeded):
         invariant_lattice(MatrixFamily([zeros(5, 5)]), element_cap=10, workers=2)
+    # 25 tactical pairs of the 3x3 zero matrix
+    with pytest.raises(ElementCapExceeded) as info:
+        tactical_lattice(MatrixFamily([zeros(3, 3)]), element_cap=10, workers=2)
+    assert info.value.count == 11
 
 
 def test_rectangular_family_rejected():

@@ -10,6 +10,7 @@ from synclat import (
     characteristic_matrix,
     column_space_contains,
     directed_containment,
+    graph_incidence,
     is_invariant,
     is_tactical,
     matmul,
@@ -168,6 +169,31 @@ def test_tactical_lattice_identity_swap():
 def test_tactical_lattice_two_colors(tacticalex1_family):
     lat = tactical_lattice(tacticalex1_family)
     assert [p.bar() for p in lat.elements] == ["(12, 14|23)", "(1|2, 1|2|3|4)"]
+
+
+@pytest.mark.parametrize("fixture", ["k13_family", "tacticalex1_family", "fano_family"])
+def test_tactical_lattice_workers_agree(fixture, request):
+    family = request.getfixturevalue(fixture)
+    runs = [tactical_lattice(family, workers=w) for w in (1, 2, 3)]
+    for other in runs[1:]:
+        assert other.elements == runs[0].elements
+        assert other.cover_edges == runs[0].cover_edges
+        for field in ("cir_calls", "splits_examined", "popped"):
+            assert getattr(other.stats, field) == getattr(runs[0].stats, field)
+    assert runs[0].stats.visited_exact
+    assert runs[1].stats.visited_partitions is None
+
+
+def test_tactical_lattice_petersen_pooled():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    family = MatrixFamily([graph_incidence(10, outer + spokes + inner)])
+    seq = tactical_lattice(family)
+    par = tactical_lattice(family, workers=2)
+    assert (len(seq), len(seq.cover_edges)) == (134, 407)
+    assert par.elements == seq.elements
+    assert par.cover_edges == seq.cover_edges
 
 
 def test_tactical_lattice_1x1():
