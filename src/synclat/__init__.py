@@ -14,7 +14,6 @@ from .lattice import (
     InvariantLattice,
     LatticeStats,
     filter_below,
-    hasse_edges,
     invariant_lattice,
     tactical_lattice,
 )
@@ -43,7 +42,13 @@ from .networks import (
     subgroups,
     weighted_laplacian_network,
 )
-from .oracle import all_partitions, bell_number, brute_invariant_set, brute_tactical_set
+from .oracle import (
+    all_partitions,
+    bell_number,
+    brute_invariant_set,
+    brute_tactical_set,
+    hasse_edges,
+)
 from .partition import (
     Partition,
     PartitionPair,

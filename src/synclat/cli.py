@@ -50,6 +50,7 @@ from .oracle import (
     bell_number,
     brute_invariant_set,
     brute_tactical_set,
+    hasse_edges,
 )
 from .partition import Partition
 from .rational import RationalMatrix
@@ -160,12 +161,33 @@ def _verify_square(
         return None
     got = set(lattice.elements)
     if got == expected:
-        print(f"verify ok ({label}): {len(got)} elements", file=sys.stderr)
+        if not _verify_edges(lattice):
+            return False
+        print(
+            f"verify ok ({label}): {len(got)} elements, "
+            f"{len(lattice.cover_edges)} cover edges",
+            file=sys.stderr,
+        )
         return True
     missing = sorted(p.bar() for p in expected - got)
     extra = sorted(p.bar() for p in got - expected)
     print(
         f"verify MISMATCH ({label}): missing {missing}, unexpected {extra}",
+        file=sys.stderr,
+    )
+    return False
+
+
+def _verify_edges(lattice: InvariantLattice) -> bool:
+    """Compare the search's cover edges with the oracle's transitive
+    reduction of the (already verified) elements."""
+    expected = hasse_edges(lattice.elements)
+    if list(lattice.cover_edges) == expected:
+        return True
+    got, want = set(lattice.cover_edges), set(expected)
+    print(
+        f"verify MISMATCH (edges): {len(want - got)} missing, "
+        f"{len(got - want)} unexpected",
         file=sys.stderr,
     )
     return False
@@ -178,7 +200,13 @@ def _verify_tactical(lattice: InvariantLattice, family: MatrixFamily) -> Optiona
     expected = brute_tactical_set(family)
     got = set(lattice.elements)
     if got == expected:
-        print(f"verify ok (tactical): {len(got)} pairs", file=sys.stderr)
+        if not _verify_edges(lattice):
+            return False
+        print(
+            f"verify ok (tactical): {len(got)} pairs, "
+            f"{len(lattice.cover_edges)} cover edges",
+            file=sys.stderr,
+        )
         return True
     missing = sorted(p.bar() for p in expected - got)
     extra = sorted(p.bar() for p in got - expected)

@@ -18,9 +18,13 @@ found.  Results are set-valued and order-independent, so the output is
 identical for any worker count.
 
 Invariant partitions form a lattice but not a sublattice of the full
-partition lattice: meets differ, so cover edges are recomputed here by
-transitive reduction of refinement restricted to the enumerated elements
-rather than inherited from the ambient lattice.
+partition lattice, so covers are not inherited from the ambient lattice.
+They come from the search instead.  Let L be a lower cover of an element E.
+On some side L splits a class of E; split that class in two along a union of
+L's classes.  The cir of that start lies between L and E and is strictly
+below E, so it is L.  Hence the lower covers of E are exactly the maximal
+elements among the cir results of E's one-class splits, which the search
+computes anyway.  The argument is the same for pair splits.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property
+from itertools import groupby
+from typing import Iterable, Optional, Union
 
 from .partition import Partition, PartitionPair, _split_labels, canonical_coloring
 from .refine import (
@@ -97,8 +103,9 @@ class InvariantLattice:
     ``elements`` is sorted by lexicographic coloring vector (row coloring
     first for pairs), so the coarsest element found from the one-class seed
     comes first and the all-singletons bottom comes last.  ``cover_edges``
-    holds (coarser_index, finer_index) pairs into ``elements`` and is the
-    transitive reduction of refinement restricted to the element set.
+    holds the sorted (coarser_index, finer_index) pairs into ``elements``
+    such that the finer element is a lower cover of the coarser one within
+    the element set (see the module docstring for how they are found).
     """
 
     elements: tuple
@@ -112,7 +119,11 @@ class InvariantLattice:
         return iter(self.elements)
 
     def __contains__(self, item) -> bool:
-        return item in set(self.elements)
+        return item in self._index
+
+    @cached_property
+    def _index(self) -> dict:
+        return {element: i for i, element in enumerate(self.elements)}
 
     @property
     def is_tactical(self) -> bool:
@@ -122,7 +133,10 @@ class InvariantLattice:
         return [e.bar() for e in self.elements]
 
     def index_of(self, element: Element) -> int:
-        return self.elements.index(element)
+        try:
+            return self._index[element]
+        except KeyError:
+            raise ValueError(f"{element!r} is not in the lattice") from None
 
     def to_json_dict(self) -> dict:
         out: dict = {}
@@ -139,44 +153,6 @@ class InvariantLattice:
         out["cover_edges"] = [list(edge) for edge in self.cover_edges]
         out["stats"] = self.stats.to_json_dict()
         return out
-
-
-def hasse_edges(elements: Sequence[Element]) -> list:
-    """Transitive reduction of refinement restricted to ``elements``.
-
-    Returns (coarser_index, finer_index) pairs.  Needed because the
-    enumerated set is generally not cover-closed in the ambient partition
-    lattice: two elements can have strictly intermediate partitions that are
-    not invariant, making them covers here but not there.
-    """
-    elements = list(elements)
-    if len(set(elements)) != len(elements):
-        raise ValueError("hasse_edges expects pairwise distinct elements")
-    k = len(elements)
-    below = [0] * k  # bitmask: below[i] has bit j iff elements[j] < elements[i]
-    for i in range(k):
-        ei = elements[i]
-        mask = 0
-        for j in range(k):
-            if i != j and elements[j].refines(ei):
-                mask |= 1 << j
-        below[i] = mask
-    edges = []
-    for i in range(k):
-        mask = below[i]
-        through = 0
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            through |= below[j]
-            m &= m - 1
-        covers = mask & ~through
-        while covers:
-            j = (covers & -covers).bit_length() - 1
-            edges.append((i, j))
-            covers &= covers - 1
-    edges.sort()
-    return edges
 
 
 class _VisitedSet:
@@ -222,11 +198,11 @@ def invariant_lattice(
         raise ValueError(
             f"invariant_lattice needs a square family, got {family.rows}x{family.cols}"
         )
-    found, stats = _search(
+    found, stats, edges = _search(
         (family.engine(),), (family.cols,), workers, element_cap, visited_cap
     )
     elements = tuple(Partition._from_canonical(c) for (c,) in found)
-    return InvariantLattice(elements, tuple(hasse_edges(elements)), stats)
+    return InvariantLattice(elements, edges, stats)
 
 
 def tactical_lattice(
@@ -243,7 +219,7 @@ def tactical_lattice(
     same use of ``workers``.  The pair of all-singletons partitions is always
     tactical, so the lattice is never empty.
     """
-    found, stats = _search(
+    found, stats, edges = _search(
         _tactical_engines(family),
         (family.rows, family.cols),
         workers,
@@ -254,30 +230,34 @@ def tactical_lattice(
         PartitionPair(Partition._from_canonical(a), Partition._from_canonical(b))
         for a, b in found
     )
-    return InvariantLattice(elements, tuple(hasse_edges(elements)), stats)
+    return InvariantLattice(elements, edges, stats)
 
 
 def _search(
     engines: tuple, sides: tuple, workers: int, element_cap: int, visited_cap: int
 ) -> tuple:
     """Split and cir from the one-class element; returns the sorted elements
-    (one canonical coloring per side) and the stats.
+    (one canonical coloring per side), the stats and the cover edges as
+    sorted (coarser, finer) index pairs into the elements.
 
     With one engine the elements are invariant partitions; with the engines
-    of a family and of its transpose they are tactical pairs.
+    of a family and of its transpose they are tactical pairs.  The lower
+    covers of a popped element are the maxima of the fixpoints of all its
+    splits, taken once the last of its tasks has returned.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     visited = _VisitedSet(visited_cap, sides) if workers == 1 else None
     top = _fixpoint(engines, tuple(tuple([1] * s) for s in sides), visited)
-    seen = {top}
+    seen = {top: top}  # the one stored instance of each element
+    covers = []  # (coarser, finer) pairs of instances stored in seen
     splits = 0
     popped = 0
 
     def discover(batch) -> list:
         fresh = [e for e in batch if e not in seen]
         for element in fresh:
-            seen.add(element)
+            seen[element] = element
             if len(seen) > element_cap:
                 raise ElementCapExceeded(len(seen), element_cap)
         return fresh
@@ -293,23 +273,46 @@ def _search(
         queue = deque([top])
         queue_peak = 1
         while queue:
-            for task in expand(queue.popleft()):
-                queue.extend(discover(_run_task(engines, task, visited)))
+            element = queue.popleft()
+            below: dict = {}
+            for task in expand(element):
+                found = _run_task(engines, task, visited)
+                below.update(found)
+                queue.extend(discover(found))
                 queue_peak = max(queue_peak, len(queue))
+            covers.extend((element, seen[cover]) for cover in _maxima(below))
     else:
         queue_peak = 0
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(engines,)
         )
+        pending: dict = {}  # future -> the element it splits
+        open_elements: dict = {}  # element -> [tasks outstanding, fixpoints so far]
+
+        def submit(element: tuple) -> None:
+            tasks = expand(element)
+            if tasks:
+                open_elements[element] = [len(tasks), {}]
+            for task in tasks:
+                pending[pool.submit(_pool_run_task, task)] = element
+
         try:
-            pending = {pool.submit(_pool_run_task, t) for t in expand(top)}
+            submit(top)
             while pending:
                 queue_peak = max(queue_peak, len(pending))
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    for element in discover(fut.result()):
-                        pending.update(
-                            pool.submit(_pool_run_task, t) for t in expand(element)
+                    element = pending.pop(fut)
+                    found = fut.result()
+                    for fresh in discover(found):
+                        submit(fresh)
+                    entry = open_elements[element]
+                    entry[0] -= 1
+                    entry[1].update(found)
+                    if not entry[0]:
+                        del open_elements[element]
+                        covers.extend(
+                            (element, seen[cover]) for cover in _maxima(entry[1])
                         )
         finally:
             pool.shutdown(cancel_futures=True)
@@ -321,7 +324,32 @@ def _search(
         visited_partitions=len(visited.items) if visited is not None else None,
         visited_exact=visited is not None and visited.exact,
     )
-    return sorted(seen), stats
+    elements = sorted(seen)
+    index = {element: i for i, element in enumerate(elements)}
+    edges = tuple(sorted((index[coarse], index[fine]) for coarse, fine in covers))
+    return elements, stats, edges
+
+
+def _maxima(candidates: Iterable[tuple]) -> list:
+    """The candidates (one canonical coloring per side) that refine no other
+    candidate.  A strictly finer element has strictly more classes, so each
+    candidate is compared only with the maxima that have fewer classes."""
+    maxima: list = []
+    for _, group in groupby(sorted(candidates, key=_class_count), _class_count):
+        coarser = tuple(maxima)
+        maxima += [c for c in group if not any(_refines(c, m) for m in coarser)]
+    return maxima
+
+
+def _class_count(element: tuple) -> int:
+    # a canonical coloring's largest color is its number of classes
+    return sum(map(max, element))
+
+
+def _refines(fine: tuple, coarse: tuple) -> bool:
+    """True iff every class of ``fine`` lies inside a class of ``coarse``,
+    side by side; both are canonical colorings."""
+    return all(len(set(zip(f, c))) == max(f) for f, c in zip(fine, coarse))
 
 
 def _split_tasks(element: tuple) -> Iterable[tuple]:
@@ -384,10 +412,11 @@ def _pool_run_task(task: tuple) -> dict:
 def filter_below(lattice: InvariantLattice, top: Partition) -> InvariantLattice:
     """Restrict a partition lattice to the down-set of ``top``.
 
-    Cover edges are recomputed for the restricted set.  The subset is still
-    closed under joins and still contains the all-singletons bottom, so it is
-    a lattice in its own right.  Stats are inherited from the enumeration
-    that built the parent.
+    The subset is still closed under joins and still contains the
+    all-singletons bottom, so it is a lattice in its own right.  A down-set is
+    convex (everything between two of its elements is in it), so its cover
+    edges are the parent's edges with both ends kept.  Stats are inherited
+    from the enumeration that built the parent.
     """
     if lattice.is_tactical:
         raise TypeError("filter_below applies to partition lattices, not pair lattices")
@@ -396,5 +425,14 @@ def filter_below(lattice: InvariantLattice, top: Partition) -> InvariantLattice:
             f"filter partition has {top.n} elements, lattice ground set has "
             f"{lattice.elements[0].n}"
         )
-    kept = tuple(e for e in lattice.elements if e.refines(top))
-    return InvariantLattice(kept, tuple(hasse_edges(kept)), lattice.stats)
+    renumber = {}
+    for i, element in enumerate(lattice.elements):
+        if element.refines(top):
+            renumber[i] = len(renumber)
+    kept = tuple(lattice.elements[i] for i in renumber)
+    edges = tuple(
+        (renumber[i], renumber[j])
+        for i, j in lattice.cover_edges
+        if i in renumber and j in renumber
+    )
+    return InvariantLattice(kept, edges, lattice.stats)

@@ -2,13 +2,13 @@
 
 Everything here deliberately avoids the refinement engine: invariance is
 decided by exact column-space containment on materialized characteristic
-matrices, and enumeration walks all partitions via the restricted-growth
-successor.  Slow by design; the point is a second, unrelated code path.
+matrices, enumeration walks all partitions via the restricted-growth
+successor, and cover edges come from a quadratic transitive reduction.  Slow by design; the point is a second, unrelated code path.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Set
+from typing import Iterator, Sequence, Set
 
 from .partition import Partition, PartitionPair, characteristic_matrix
 from .rational import column_space_contains, matmul, transpose
@@ -85,3 +85,42 @@ def brute_tactical_set(family: MatrixFamily) -> Set[PartitionPair]:
             ):
                 out.add(PartitionPair(a, b))
     return out
+
+
+def hasse_edges(elements: Sequence) -> list:
+    """Transitive reduction of refinement restricted to ``elements``
+    (partitions, or partition pairs), by comparing every pair.
+
+    Returns sorted (coarser_index, finer_index) pairs.  The reference for the
+    cover edges the lattice search derives from its splits: two invariant
+    elements can have strictly intermediate partitions that are not
+    invariant, making them covers here but not in the ambient lattice.
+    """
+    elements = list(elements)
+    if len(set(elements)) != len(elements):
+        raise ValueError("hasse_edges expects pairwise distinct elements")
+    k = len(elements)
+    below = [0] * k  # bitmask: below[i] has bit j iff elements[j] < elements[i]
+    for i in range(k):
+        ei = elements[i]
+        mask = 0
+        for j in range(k):
+            if i != j and elements[j].refines(ei):
+                mask |= 1 << j
+        below[i] = mask
+    edges = []
+    for i in range(k):
+        mask = below[i]
+        through = 0
+        m = mask
+        while m:
+            j = (m & -m).bit_length() - 1
+            through |= below[j]
+            m &= m - 1
+        covers = mask & ~through
+        while covers:
+            j = (covers & -covers).bit_length() - 1
+            edges.append((i, j))
+            covers &= covers - 1
+    edges.sort()
+    return edges

@@ -218,6 +218,24 @@ def test_exit_code_4_on_verify_mismatch(capsys, tmp_path, monkeypatch):
     assert out.splitlines()[0] == "12345"  # artifact still emitted, unchanged
 
 
+def test_verify_checks_cover_edges(capsys, monkeypatch):
+    code, _, err = run(capsys, "lattice", "--matrices", path("fig1.json"), "--verify")
+    assert code == 0 and "11 elements, 16 cover edges" in err
+    code, _, err = run(capsys, "verify", "--incidence", path("k13.json"))
+    assert code == 0 and "cover edges" in err
+    # the oracle's reduction is the reference: disagreeing with it fails
+    import synclat.cli as cli
+
+    monkeypatch.setattr(cli, "hasse_edges", lambda elements: [])
+    for argv in (
+        ["lattice", "--matrices", path("fig1.json"), "--verify"],
+        ["verify", "--incidence", path("k13.json")],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert "verify MISMATCH (edges)" in err
+
+
 def test_argparse_error_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["lattice"])  # missing --matrices

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,9 @@ from synclat import (
     MatrixFamily,
     Partition,
     balanced_partitions,
+    bell_number,
     brute_invariant_set,
+    complete_graph,
     filter_below,
     hasse_edges,
     invariant_lattice,
@@ -123,9 +126,40 @@ def test_deterministic_across_runs_and_workers(fig1_family, posetalgo_family):
         runs = [invariant_lattice(fam) for _ in range(2)]
         runs.append(invariant_lattice(fam, workers=2))
         runs.append(invariant_lattice(fam, workers=3))
+        assert runs[0].cover_edges == tuple(hasse_edges(runs[0].elements))
         for other in runs[1:]:
             assert other.elements == runs[0].elements
             assert other.cover_edges == runs[0].cover_edges
+
+
+def test_membership_and_index_of_complete_graph():
+    lat = invariant_lattice(MatrixFamily([complete_graph(6)]))
+    assert len(lat) == bell_number(6)
+    for i, element in enumerate(lat.elements):
+        twin = Partition(list(element.coloring))
+        assert twin is not element and twin in lat
+        assert lat.index_of(twin) == i
+    outsider = Partition.singleton(7)
+    assert outsider not in lat
+    with pytest.raises(ValueError):
+        lat.index_of(outsider)
+
+
+def test_complete_graph_k9_covers_are_one_class_splits():
+    t0 = time.monotonic()
+    lat = invariant_lattice(MatrixFamily([complete_graph(9)]))
+    elapsed = time.monotonic() - t0
+    assert len(lat) == bell_number(9) == 21147
+    # every partition is invariant, so its lower covers are all its
+    # one-class splits: 2^(s-1) - 1 of them per class of size s
+    want = sum(
+        sum(2 ** (len(c) - 1) - 1 for c in e.classes()) for e in lat.elements
+    )
+    assert len(lat.cover_edges) == want == 175896
+    for i, j in lat.cover_edges:
+        coarse, fine = lat.elements[i], lat.elements[j]
+        assert fine.num_classes == coarse.num_classes + 1 and fine.refines(coarse)
+    assert elapsed < 60.0
 
 
 def test_posetalgo_stats(posetalgo_family):
@@ -162,7 +196,7 @@ def test_rectangular_family_rejected():
         invariant_lattice(MatrixFamily([[[1, 0, 0], [0, 1, 0]]]))
 
 
-def test_filter_below(balex2_net):
+def test_filter_below(balex2_net, fig1_family):
     from synclat import monochrome_adjacency
 
     lat = invariant_lattice(monochrome_adjacency(balex2_net))
@@ -170,6 +204,11 @@ def test_filter_below(balex2_net):
     kept = filter_below(lat, bar("12|34", 4))
     assert kept.bars() == ["1|2|34", "1|2|3|4"]
     assert kept.cover_edges == ((0, 1),)
+    # a down-set keeps exactly the parent's covers between its elements
+    for parent in (lat, invariant_lattice(fig1_family)):
+        for top in parent.elements:
+            kept = filter_below(parent, top)
+            assert kept.cover_edges == tuple(hasse_edges(kept.elements))
     # filtering below the one-class partition keeps everything
     full = filter_below(lat, Partition.singleton(4))
     assert full.elements == lat.elements
@@ -195,6 +234,7 @@ def test_hasse_edges_transitive_reduction_random():
         fam = rand_family(rng, n)
         lat = invariant_lattice(fam)
         elements = lat.elements
+        assert lat.cover_edges == tuple(hasse_edges(elements))
         edges = set(lat.cover_edges)
         for i, coarse in enumerate(elements):
             for j, fine in enumerate(elements):

@@ -11,6 +11,7 @@ from synclat import (
     column_space_contains,
     directed_containment,
     graph_incidence,
+    hasse_edges,
     is_invariant,
     is_tactical,
     matmul,
@@ -175,6 +176,7 @@ def test_tactical_lattice_two_colors(tacticalex1_family):
 def test_tactical_lattice_workers_agree(fixture, request):
     family = request.getfixturevalue(fixture)
     runs = [tactical_lattice(family, workers=w) for w in (1, 2, 3)]
+    assert runs[0].cover_edges == tuple(hasse_edges(runs[0].elements))
     for other in runs[1:]:
         assert other.elements == runs[0].elements
         assert other.cover_edges == runs[0].cover_edges
@@ -208,6 +210,7 @@ def test_tactical_lattice_matches_brute_force():
         fam = rand_rect_family(rng, m, n)
         lat = tactical_lattice(fam)
         assert set(lat.elements) == brute_tactical_set(fam)
+        assert lat.cover_edges == tuple(hasse_edges(lat.elements))
 
 
 def test_tactical_shape_errors(k13_family):
