@@ -146,14 +146,22 @@ def transpose(matrix: RationalMatrix) -> RationalMatrix:
 
 
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Plain dense product, used as the independent reference for the
-    coloring-vector product below."""
+    """Plain product, summed over the nonzero entries of both factors.
+
+    It knows nothing of colorings, so it stays the independent reference for
+    the coloring-vector product below and for the refinement engine.
+    """
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries))
-    return RationalMatrix(
-        [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.entries]
-    )
+    b_rows = b.sparse_rows()
+    out = []
+    for a_row in a.sparse_rows():
+        acc = [0] * b.cols
+        for k, x in a_row:
+            for j, y in b_rows[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return RationalMatrix(out)
 
 
 def augment(blocks: Sequence[RationalMatrix]) -> RationalMatrix:

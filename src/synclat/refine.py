@@ -16,27 +16,25 @@ advanced simultaneously from the step-k state), yields the coarsest tactical
 refinement.
 
 Implementation notes, because this is the hot path of the whole package:
-rows are preprocessed once per family into neighbor lists.  When every entry
-is a small nonnegative integer ("unit" mode, the adjacency-matrix case) the
-row signature is just the sorted tuple of neighbor colors, with the entry
-value acting as arrow multiplicity.  Otherwise ("general" mode) signatures
-are per-color sums with exact zero cancellation.  Classes are refined
-bucket-by-bucket, so elements already isolated in singleton classes cost
-nothing, and colorings stay as plain integer lists until the final
-canonicalization.
+each family is prepared once into one integer engine.  Every matrix is
+scaled by the lcm of its denominators (M and cM have the same invariant
+partitions and tactical decompositions for c != 0), and the scaled matrices
+are packed into one integer weight per nonzero entry, so a row's signature
+against a coloring is a single exact integer key (see :func:`_prepare`).
+Families whose packed weights are all 1 (plain adjacency matrices) key short
+rows without a loop.
+Classes are refined bucket-by-bucket, so elements already isolated in
+singleton classes cost nothing, and colorings stay as plain integer lists
+until the final canonicalization.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 from .partition import Partition, PartitionPair, canonical_coloring
 from .rational import RationalMatrix
-
-_UNIT_ENTRY_CAP = 8  # expand integer entries up to this multiplicity
-
-_UNIT = 0
-_GENERAL = 1
 
 
 class MatrixFamily:
@@ -99,126 +97,102 @@ class MatrixFamily:
 
 
 def _prepare(matrices: Sequence[RationalMatrix]) -> tuple:
-    """Preprocess matrices into (mode, per-matrix per-row neighbor data)."""
-    unit = True
+    """Pack a family into the integer engine ``(rows, pw, ones)``.
+
+    Each matrix M_l is scaled by the lcm of its denominators; this changes no
+    invariant partition or tactical decomposition.  With N columns, R the largest absolute row sum of
+    any scaled matrix and B = 2R + 1, entry (i, j) of the family becomes the
+    weight W_ij = sum_l M_l[i][j] * B**(l*N), and ``rows[i]`` lists the
+    ``(j, W_ij)`` with W_ij != 0.  ``pw[c]`` is B**c.
+
+    The key of row i against a column coloring ``ncol`` (colors below N) is
+    sum_j W_ij * pw[ncol[j]].  Its base-B digit at position l*N + c is the
+    exact in-weight s(l, c) that row i of M_l gives to color c, and
+    |s(l, c)| <= R < B/2.  Two such digit vectors that differ have a lowest
+    differing position k, where the difference of the keys is B**k times a
+    nonzero number below B in absolute value plus a multiple of B**(k+1),
+    hence nonzero.  So two rows have equal keys exactly when they give the
+    same weight to every color under every matrix: the key is an exact
+    encoding of the signature, not a hash.
+
+    When every packed weight is 1, ``ones`` is true and ``rows[i]`` holds the
+    column indices alone; the key is then the plain sum of ``pw[ncol[j]]``.
+    """
+    n = matrices[0].cols
+    scaled = []
     for m in matrices:
-        for row in m.entries:
-            for x in row:
-                if x.denominator != 1 or not 0 <= x <= _UNIT_ENTRY_CAP:
-                    unit = False
-                    break
-            if not unit:
-                break
-        if not unit:
-            break
-    if unit:
-        rows = tuple(
-            tuple(
-                tuple(
-                    j
-                    for j, x in enumerate(row)
-                    for _ in range(int(x))
-                )
-                for row in m.entries
-            )
-            for m in matrices
+        d = math.lcm(*(x.denominator for row in m.entries for x in row))
+        scaled.append(
+            [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
         )
-        return (_UNIT, rows)
-    rows = tuple(
-        tuple(
-            tuple(
-                (j, int(x) if x.denominator == 1 else x)
-                for j, x in enumerate(row)
-                if x
-            )
-            for row in m.entries
-        )
-        for m in matrices
-    )
-    return (_GENERAL, rows)
-
-
-def _signature_unit(mats, i: int, ncol: list) -> tuple:
-    parts = []
-    for rows in mats:
-        cs = [ncol[j] for j in rows[i]]
-        cs.sort()
-        parts.append(tuple(cs))
-    return tuple(parts)
-
-
-def _signature_general(mats, i: int, ncol: list) -> tuple:
-    parts = []
-    for rows in mats:
-        acc: dict = {}
-        get = acc.get
-        for j, w in rows[i]:
-            c = ncol[j]
-            acc[c] = get(c, 0) + w
-        parts.append(tuple(sorted((c, v) for c, v in acc.items() if v)))
-    return tuple(parts)
+    bound = max(sum(abs(x) for x in row) for m in scaled for row in m)
+    base = 2 * bound + 1
+    shift = base**n
+    rows = []
+    for i in range(matrices[0].rows):
+        packed = [0] * n
+        scale = 1
+        for m in scaled:
+            for j, x in enumerate(m[i]):
+                if x:
+                    packed[j] += x * scale
+            scale *= shift
+        rows.append(tuple((j, w) for j, w in enumerate(packed) if w))
+    ones = all(w == 1 for row in rows for _, w in row)
+    if ones:
+        rows = [tuple(j for j, _ in row) for row in rows]
+    return (tuple(rows), tuple(base**c for c in range(n)), ones)
 
 
 def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:
-    """One refinement pass: split every class by row signature.
+    """One refinement pass: split every class by row key.
 
-    ``ncol`` maps a matrix column index to its current color (for the square
-    iteration this is the same coloring being refined; for the tactical
-    iteration it is the opposite side's coloring).  Returns
+    ``ncol`` maps a matrix column index to its current 0-based color (for the
+    square iteration this is the same coloring being refined; for the
+    tactical iteration it is the opposite side's coloring).  Members of a
+    class stay together exactly when their keys (see :func:`_prepare`) are
+    equal, and the new classes come in order of their first member.  Returns
     ``(new_classes, changed)`` and mutates nothing, so both sides of a
     tactical step can be computed from the same state before either is
     applied.
     """
-    mode, mats = engine
+    rows, pw, ones = engine
     out = []
     changed = False
-    if mode == _UNIT and len(mats) == 1:
-        rows0 = mats[0]
-        for members in classes:
-            if len(members) < 2:
-                out.append(members)
-                continue
-            buckets: dict = {}
+    for members in classes:
+        if len(members) < 2:
+            out.append(members)
+            continue
+        buckets: dict = {}
+        if ones:
             for i in members:
-                nb = rows0[i]
+                nb = rows[i]
                 ln = len(nb)
                 if ln == 2:
-                    a = ncol[nb[0]]
-                    b = ncol[nb[1]]
-                    key = (a, b) if a <= b else (b, a)
+                    key = pw[ncol[nb[0]]] + pw[ncol[nb[1]]]
                 elif ln == 1:
-                    key = (ncol[nb[0]],)
+                    key = pw[ncol[nb[0]]]
                 elif ln == 0:
-                    key = ()
+                    key = 0
                 else:
-                    cs = [ncol[j] for j in nb]
-                    cs.sort()
-                    key = tuple(cs)
+                    key = 0
+                    for j in nb:
+                        key += pw[ncol[j]]
                 got = buckets.get(key)
                 if got is None:
                     buckets[key] = [i]
                 else:
                     got.append(i)
-            if len(buckets) == 1:
-                out.append(members)
-            else:
-                changed = True
-                out.extend(buckets.values())
-        return out, changed
-
-    sig = _signature_unit if mode == _UNIT else _signature_general
-    for members in classes:
-        if len(members) < 2:
-            out.append(members)
-            continue
-        buckets = {}
-        for i in members:
-            key = sig(mats, i, ncol)
-            got = buckets.get(key)
-            if got is None:
-                buckets[key] = [i]
-            else:
-                got.append(i)
+        else:
+            for i in members:
+                key = 0
+                for j, w in rows[i]:
+                    key += w * pw[ncol[j]]
+                got = buckets.get(key)
+                if got is None:
+                    buckets[key] = [i]
+                else:
+                    got.append(i)
         if len(buckets) == 1:
             out.append(members)
         else:
@@ -311,18 +285,10 @@ def is_invariant(family: MatrixFamily, part: Partition) -> bool:
 
 
 def _psi_coloring(engine: tuple, m: int, ncol: list) -> list:
-    """Induced partition of {0..m-1} by full row signatures (0-based)."""
-    mode, mats = engine
-    sig = _signature_unit if mode == _UNIT else _signature_general
-    buckets: dict = {}
+    """Induced partition of {0..m-1} by row keys (0-based, labels in order
+    of first appearance)."""
     out = [0] * m
-    for i in range(m):
-        key = sig(mats, i, ncol)
-        label = buckets.get(key)
-        if label is None:
-            label = len(buckets)
-            buckets[key] = label
-        out[i] = label
+    _apply_classes(_split_pass(engine, [list(range(m))], ncol)[0], out)
     return out
 
 

@@ -82,8 +82,11 @@ def test_singleton_ground_set():
 
 
 def test_zero_family_gives_whole_partition_lattice():
-    lat = invariant_lattice(MatrixFamily([zeros(4, 4)]))
-    assert len(lat) == 15  # Bell(4)
+    for fam in (MatrixFamily([zeros(4, 4)]), MatrixFamily([zeros(4, 4)] * 2)):
+        # every row of the integer engine is empty, so every row keys to 0
+        assert fam.engine()[0] == ((),) * 4
+        lat = invariant_lattice(fam)
+        assert len(lat) == 15  # Bell(4)
 
 
 def test_every_element_is_invariant(fig1_family, balex_family, posetalgo_family):

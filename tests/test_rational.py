@@ -161,6 +161,11 @@ def test_mutual_containment_implies_equal_rank():
     for _ in range(100):
         r = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 3), rational=True)
         c = rand_matrix(rng, r.cols, rng.randint(1, 3), rational=True)
+        # the sparse product against the definition of the product
+        assert matmul(r, c).entries == tuple(
+            tuple(sum(r[i][k] * c[k][j] for k in range(r.cols)) for j in range(c.cols))
+            for i in range(r.rows)
+        )
         # q keeps r's columns, so the two column spaces coincide
         q = augment([matmul(r, c), r])
         assert column_space_contains(r, q) and column_space_contains(q, r)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,9 +15,12 @@ from synclat import (
     colored_product,
     column_space_contains,
     induced_partition,
+    invariant_lattice,
     is_invariant,
     matmul,
 )
+from synclat.oracle import all_partitions
+from synclat.refine import _psi_coloring, _split_pass
 from conftest import M3_DIAG, M3_OTHER
 
 
@@ -32,8 +36,6 @@ def rand_family(rng, n, rational=False):
         if rng.random() > 0.5:
             return 0
         if rational and rng.random() < 0.4:
-            from fractions import Fraction
-
             return Fraction(rng.randint(-3, 3), rng.choice([2, 3]))
         return rng.randint(-2, 2)
 
@@ -207,3 +209,98 @@ def test_dimension_errors():
     rect = MatrixFamily([[[1, 0, 0], [0, 1, 0]]])
     with pytest.raises(ValueError):
         cir(rect, Partition.singleton(2))
+
+
+def planted_family(rng, n, values, denominators):
+    """1-2 matrices for which a random partition is invariant: each row gives
+    the same total to each class as the other rows of its own class.  Every
+    matrix gets its own denominator from ``denominators``."""
+    classes = [[i - 1 for i in cls] for cls in rand_partition(rng, n).classes()]
+    mats = []
+    for _ in range(rng.randint(1, 2)):
+        q = rng.choice(denominators)
+        m = [[0] * n for _ in range(n)]
+        for rows in classes:
+            for cols in classes:
+                total = rng.choice(values)
+                for i in rows:
+                    # split ``total`` over the columns of ``cols`` at random
+                    rest = total
+                    for j in cols[:-1]:
+                        x = rng.choice(values) if rng.random() < 0.5 else 0
+                        m[i][j] = Fraction(x, q)
+                        rest -= x
+                    m[i][cols[-1]] = Fraction(rest, q)
+        mats.append(m)
+    return MatrixFamily(mats)
+
+
+def test_wide_entries_and_mixed_denominators_against_brute_force():
+    # entries far beyond small multiplicities, of both signs, with a
+    # different denominator in each matrix of a family
+    rng = random.Random(8)
+    values = [9, 1000, -1000] + list(range(-60, 61, 7))
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        fam = planted_family(rng, n, values, [1, 1, 2, 7, 9, 10])
+        brute = brute_invariant_set(fam)
+        assert set(invariant_lattice(fam).elements) == brute
+        for part in all_partitions(n):
+            assert is_invariant(fam, part) == (part in brute)
+
+
+def test_cancelling_row_keys_like_an_empty_row():
+    # row 1 sends +1 and -1 into class {3, 4}: its in-weight there is 0, the
+    # same as the empty rows 2-4
+    fam = MatrixFamily([[[0, 0, 1, -1], [0] * 4, [0] * 4, [0] * 4]])
+    assert _psi_coloring(fam.engine(), 4, [0, 0, 1, 1]) == [0, 0, 0, 0]
+    assert _split_pass(fam.engine(), [[0, 1, 2, 3]], [0, 0, 1, 1]) == (
+        [[0, 1, 2, 3]],
+        False,
+    )
+    assert _psi_coloring(fam.engine(), 4, [0, 0, 1, 2]) == [0, 1, 1, 1]
+    for bar, expected in (("12|34", True), ("1234", True), ("12|3|4", False)):
+        part = Partition.from_bar(bar, 4)
+        assert is_invariant(fam, part) is expected
+        assert (part in brute_invariant_set(fam)) is expected
+
+
+def test_row_keys_do_not_carry_between_digits():
+    # with colors [0, 0, 1], row 1 gives (-1, +1) and row 2 gives (2, 0); a
+    # key base of 3 (below 2R + 1 = 5 for the row sum R = 2) would make
+    # -1 + 3 == 2 and merge the two rows
+    fam = MatrixFamily([[[-1, 0, 1], [1, 1, 0], [0, 0, 0]]])
+    assert _psi_coloring(fam.engine(), 3, [0, 0, 1]) == [0, 1, 2]
+    part = Partition.from_bar("12|3", 3)
+    assert not is_invariant(fam, part)
+    assert part not in brute_invariant_set(fam)
+
+
+def test_scaling_a_matrix_keeps_its_lattice():
+    rng = random.Random(9)
+    families = [MatrixFamily([[[1, 1, 0], [0, 1, 1], [1, 0, 1]]])]
+    families += [planted_family(rng, 6, [-2, -1, 1, 3], [1, 3]) for _ in range(8)]
+    for fam in families:
+        base = invariant_lattice(fam)
+        for c in (Fraction(-3, 7), Fraction(5, 2)):
+            scaled = MatrixFamily(
+                [[[c * x for x in row] for row in m.entries] for m in fam.matrices]
+            )
+            got = invariant_lattice(scaled)
+            assert got.elements == base.elements
+            assert got.cover_edges == base.cover_edges
+
+
+def test_engine_of_rational_family_holds_only_ints():
+    rng = random.Random(10)
+    fam = rand_family(rng, 6, rational=True)
+    while all(m.is_integer() for m in fam.matrices):
+        fam = rand_family(rng, 6, rational=True)
+    for engine in (fam.engine(), fam.transposed().engine()):
+        rows, pw, ones = engine
+        assert isinstance(ones, bool)
+        leaves = list(pw)
+        for row in rows:
+            for entry in row:
+                leaves.extend(entry if isinstance(entry, tuple) else (entry,))
+        assert leaves and all(type(x) is int for x in leaves)

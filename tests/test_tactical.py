@@ -31,12 +31,17 @@ def rand_partition(rng, n):
 
 
 def rand_rect_family(rng, m, n):
+    # p/q strings (q in {2, 3}) put rational families on every tactical path
+    def entry():
+        if rng.random() >= 0.5:
+            return 0
+        if rng.random() < 0.35:
+            return f"{rng.randint(-3, 3)}/{rng.choice([2, 3])}"
+        return rng.randint(-1, 2)
+
     count = rng.randint(1, 2)
     return MatrixFamily(
-        [
-            [[rng.randint(-1, 2) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(m)]
-            for _ in range(count)
-        ]
+        [[[entry() for _ in range(n)] for _ in range(m)] for _ in range(count)]
     )
 
 
