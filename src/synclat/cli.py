@@ -3,6 +3,18 @@
 Commands take JSON inputs (schemas below), compute with the exact engine,
 and write text, JSON, or DOT to stdout; diagnostics go to stderr.
 
+All lattice commands share one path.  :func:`_lattices` turns the arguments
+into labelled lattices, each with the family and the ``below`` partition
+that the brute-force oracle checks it against, and under --verify
+:func:`_verify` checks each one right after it is written: elements first,
+then cover edges.  ``verify --X`` is every command that reads input X, run
+with --verify and no stdout: --network runs balanced and exo-balanced,
+--adjacency equitable and almost-equitable, --group cayley, --matrices
+lattice (tactical for rectangular matrices), --incidence tactical.  The
+cayley check also compares with the subgroup coset partitions when the
+generators generate the group.  Checks past the oracle's size caps are
+skipped, not failed.  ``cir`` computes one partition and has its own check.
+
 Exit codes: 0 success, 2 parse or validation error, 3 element-cap abort,
 4 oracle mismatch under --verify.
 
@@ -22,7 +34,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from functools import partial
+from typing import Iterator, Optional
 
 from .lattice import (
     ElementCapExceeded,
@@ -46,6 +59,7 @@ from .networks import (
 )
 from .oracle import (
     MAX_BRUTE_N,
+    MAX_ENUM_N,
     MAX_BRUTE_PAIRS,
     bell_number,
     brute_invariant_set,
@@ -112,14 +126,6 @@ def _adjacency_from_path(path: str) -> RationalMatrix:
     return RationalMatrix.from_json_dict(obj)
 
 
-def _network_from_path(path: str) -> ColoredNetwork:
-    return ColoredNetwork.from_json_dict(_load_json(path))
-
-
-def _incidence_from_path(path: str) -> IncidenceStructure:
-    return IncidenceStructure.from_json_dict(_load_json(path))
-
-
 def _group_from_path(path: str) -> tuple:
     obj = _load_json(path)
     group = GroupTable.from_json_dict(obj)
@@ -139,82 +145,113 @@ def _resolve_workers(requested: Optional[int], n: int) -> int:
     return os.cpu_count() or 1
 
 
-def _brute_square(family: MatrixFamily, below: Optional[Partition] = None):
-    """Brute invariant set, or None when past the oracle size cap."""
-    if family.cols > MAX_BRUTE_N:
-        return None
-    found = brute_invariant_set(family)
-    if below is not None:
-        found = {p for p in found if p.refines(below)}
-    return found
-
-
-def _verify_square(
+def _verify(
+    label: str,
     lattice: InvariantLattice,
     family: MatrixFamily,
     below: Optional[Partition],
-    label: str,
 ) -> Optional[bool]:
-    expected = _brute_square(family, below)
-    if expected is None:
+    """Check a lattice against the brute-force oracle: its elements against
+    the invariant partitions of ``family`` that refine ``below`` (tactical
+    decompositions, for a pair lattice), then its cover edges against the
+    oracle's transitive reduction.  None when past the oracle's size caps."""
+    if lattice.is_tactical:
+        m, n = family.rows, family.cols
+        if max(m, n) > MAX_ENUM_N or bell_number(m) * bell_number(n) > MAX_BRUTE_PAIRS:
+            print(f"verify skipped ({label}): ground sets too large", file=sys.stderr)
+            return None
+        expected = brute_tactical_set(family)
+    elif family.cols > MAX_BRUTE_N:
         print(f"verify skipped ({label}): n > {MAX_BRUTE_N}", file=sys.stderr)
         return None
+    else:
+        expected = brute_invariant_set(family)
+        if below is not None:
+            expected = {p for p in expected if p.refines(below)}
     got = set(lattice.elements)
-    if got == expected:
-        if not _verify_edges(lattice):
-            return False
+    if got != expected:
+        missing = sorted(p.bar() for p in expected - got)
+        extra = sorted(p.bar() for p in got - expected)
         print(
-            f"verify ok ({label}): {len(got)} elements, "
-            f"{len(lattice.cover_edges)} cover edges",
+            f"verify MISMATCH ({label}): missing {missing}, unexpected {extra}",
             file=sys.stderr,
         )
-        return True
-    missing = sorted(p.bar() for p in expected - got)
-    extra = sorted(p.bar() for p in got - expected)
+        return False
+    want = hasse_edges(lattice.elements)
+    if list(lattice.cover_edges) != want:
+        have, want = set(lattice.cover_edges), set(want)
+        print(
+            f"verify MISMATCH (edges): {len(want - have)} missing, "
+            f"{len(have - want)} unexpected",
+            file=sys.stderr,
+        )
+        return False
     print(
-        f"verify MISMATCH ({label}): missing {missing}, unexpected {extra}",
+        f"verify ok ({label}): {len(got)} "
+        f"{'pairs' if lattice.is_tactical else 'elements'}, "
+        f"{len(lattice.cover_edges)} cover edges",
         file=sys.stderr,
     )
-    return False
+    return True
 
 
-def _verify_edges(lattice: InvariantLattice) -> bool:
-    """Compare the search's cover edges with the oracle's transitive
-    reduction of the (already verified) elements."""
-    expected = hasse_edges(lattice.elements)
-    if list(lattice.cover_edges) == expected:
-        return True
-    got, want = set(lattice.cover_edges), set(expected)
-    print(
-        f"verify MISMATCH (edges): {len(want - got)} missing, "
-        f"{len(got - want)} unexpected",
-        file=sys.stderr,
-    )
-    return False
-
-
-def _verify_tactical(lattice: InvariantLattice, family: MatrixFamily) -> Optional[bool]:
-    if bell_number(family.rows) * bell_number(family.cols) > MAX_BRUTE_PAIRS:
-        print("verify skipped (tactical): ground sets too large", file=sys.stderr)
+def _verify_cosets(
+    group: GroupTable, generators: list, lattice: InvariantLattice
+) -> Optional[bool]:
+    """The balanced partitions of a Cayley digraph are the right-coset
+    partitions by the subgroups, when the generators generate the group."""
+    reached = len(group.generated(int(s) - 1 for s in generators))
+    if reached != group.order:
+        print(
+            f"verify skipped (coset partitions): generators reach only "
+            f"{reached} of {group.order} elements",
+            file=sys.stderr,
+        )
         return None
-    expected = brute_tactical_set(family)
-    got = set(lattice.elements)
-    if got == expected:
-        if not _verify_edges(lattice):
-            return False
-        print(
-            f"verify ok (tactical): {len(got)} pairs, "
-            f"{len(lattice.cover_edges)} cover edges",
-            file=sys.stderr,
-        )
+    cosets = subgroup_coset_partitions(group)
+    if set(lattice.elements) == cosets:
+        print(f"verify ok (coset partitions): {len(cosets)} subgroups", file=sys.stderr)
         return True
-    missing = sorted(p.bar() for p in expected - got)
-    extra = sorted(p.bar() for p in got - expected)
+    print("verify MISMATCH (coset partitions)", file=sys.stderr)
+    return False
+
+
+def _verify_cir(family: MatrixFamily, start: Partition, result: Partition) -> Optional[bool]:
+    if family.cols > MAX_BRUTE_N:
+        print(f"verify skipped (cir): n > {MAX_BRUTE_N}", file=sys.stderr)
+        return None
+    coarsest = Partition.discrete(start.n)
+    for candidate in brute_invariant_set(family):
+        if candidate.refines(start):
+            coarsest = coarsest.join(candidate)
+    ok = (
+        result == coarsest
+        and result.refines(start)
+        and is_invariant(family, result)
+    )
+    if ok:
+        print("verify ok (cir)", file=sys.stderr)
+        return True
     print(
-        f"verify MISMATCH (tactical): missing {missing}, unexpected {extra}",
+        f"verify MISMATCH (cir): engine {result.bar()}, oracle {coarsest.bar()}",
         file=sys.stderr,
     )
     return False
+
+
+_INPUTS = ("matrices", "incidence", "network", "adjacency", "group")
+
+_COMMANDS = (  # name, help, the input options (exactly one is given)
+    ("lattice", "all invariant partitions of a square matrix family", ("matrices",)),
+    ("cir", "coarsest invariant refinement of a start partition", ("matrices",)),
+    ("tactical", "all tactical decompositions of a rectangular family", ("incidence", "matrices")),
+    ("balanced", "balanced partitions of a colored cell network", ("network",)),
+    ("exo-balanced", "exo-balanced partitions of a colored cell network", ("network",)),
+    ("equitable", "equitable partitions of a simple graph", ("adjacency",)),
+    ("almost-equitable", "almost equitable partitions of a simple graph", ("adjacency",)),
+    ("cayley", "balanced partitions of a Cayley color digraph", ("group",)),
+    ("verify", "run engine and brute-force oracle, compare", _INPUTS),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,11 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lattices of invariant synchrony partitions and tactical "
         "decompositions over exact rational arithmetic.",
     )
+    parser.set_defaults(run=_cmd_lattices, **dict.fromkeys(_INPUTS))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, formats=("text", "json", "dot")) -> None:
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--verify", action="store_true", help="cross-check against the brute-force oracle")
+    for name, help_text, inputs in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        group = p.add_mutually_exclusive_group(required=True) if len(inputs) > 1 else p
+        for source in inputs:
+            group.add_argument(f"--{source}", required=len(inputs) == 1)
+        if name == "cir":
+            p.add_argument("--start", default=None, help="bar notation; default: the one-class partition")
+        if name == "verify":
+            p.set_defaults(format=None, verify=True)
+        else:
+            formats = ("text", "json") if name == "cir" else ("text", "json", "dot")
+            p.add_argument("--format", choices=formats, default="text")
+            p.add_argument("--verify", action="store_true", help="cross-check against the brute-force oracle")
+        if name == "cir":
+            p.set_defaults(run=_cmd_cir)
+            continue
         p.add_argument("--cap", type=int, default=10**6, help="element cap (exit 3 when exceeded)")
         p.add_argument(
             "--workers",
@@ -235,65 +285,79 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="worker processes; default: 1 for small inputs, all CPUs otherwise",
         )
-
-    p = sub.add_parser("lattice", help="all invariant partitions of a square matrix family")
-    p.add_argument("--matrices", required=True)
-    common(p)
-
-    p = sub.add_parser("cir", help="coarsest invariant refinement of a start partition")
-    p.add_argument("--matrices", required=True)
-    p.add_argument("--start", default=None, help="bar notation; default: the one-class partition")
-    common(p, formats=("text", "json"))
-
-    p = sub.add_parser("tactical", help="all tactical decompositions of a rectangular family")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--incidence")
-    group.add_argument("--matrices")
-    common(p)
-
-    p = sub.add_parser("balanced", help="balanced partitions of a colored cell network")
-    p.add_argument("--network", required=True)
-    common(p)
-
-    p = sub.add_parser("exo-balanced", help="exo-balanced partitions of a colored cell network")
-    p.add_argument("--network", required=True)
-    common(p)
-
-    p = sub.add_parser("equitable", help="equitable partitions of a simple graph")
-    p.add_argument("--adjacency", required=True)
-    common(p)
-
-    p = sub.add_parser("almost-equitable", help="almost equitable partitions of a simple graph")
-    p.add_argument("--adjacency", required=True)
-    common(p)
-
-    p = sub.add_parser("cayley", help="balanced partitions of a Cayley color digraph")
-    p.add_argument("--group", required=True)
-    common(p)
-
-    p = sub.add_parser("verify", help="run engine and brute-force oracle, compare")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--matrices")
-    group.add_argument("--incidence")
-    group.add_argument("--network")
-    group.add_argument("--adjacency")
-    group.add_argument("--group")
-    p.add_argument("--cap", type=int, default=10**6)
-    p.add_argument("--workers", type=int, default=None)
-
     return parser
 
 
-def _cmd_lattice(args) -> int:
-    family = _family_from_path(args.matrices)
-    if not family.is_square:
-        raise ValueError("the 'lattice' command needs square matrices; see 'tactical'")
-    workers = _resolve_workers(args.workers, family.cols)
-    lattice = invariant_lattice(family, workers=workers, element_cap=args.cap)
-    _emit_lattice(lattice, args.format)
-    if args.verify and _verify_square(lattice, family, None, "lattice") is False:
-        return 4
-    return 0
+def _lattices(args) -> Iterator[tuple]:
+    """Compute the lattices a command asks for, one at a time.
+
+    Yields ``(label, lattice, family, below, also)``: :func:`_verify` checks
+    the lattice against the invariant partitions of ``family`` that refine
+    ``below``, and ``also``, when not None, is one more check to call with
+    the lattice.  ``verify`` asks for every lattice that the commands reading
+    its input compute.
+    """
+
+    def wants(command: str) -> bool:
+        return args.command in (command, "verify")
+
+    def sized(n: int) -> dict:
+        return {"workers": _resolve_workers(args.workers, n), "element_cap": args.cap}
+
+    if args.network:
+        net = ColoredNetwork.from_json_dict(_load_json(args.network))
+        kw = sized(net.n)
+        fam = monochrome_adjacency(net)
+        if wants("balanced"):
+            yield "balanced", balanced_partitions(net, **kw), fam, net.cell_types, None
+        if wants("exo-balanced"):
+            lat = exo_balanced_partitions(net, **kw)
+            lfam = MatrixFamily([laplacian(m) for m in fam.matrices])
+            yield "exo-balanced", lat, lfam, net.cell_types, None
+    elif args.adjacency:
+        adjacency = _adjacency_from_path(args.adjacency)
+        kw = sized(adjacency.cols)
+        if wants("equitable"):
+            lat = equitable_partitions(adjacency, **kw)
+            yield "equitable", lat, MatrixFamily([adjacency]), None, None
+        if wants("almost-equitable"):
+            lat = almost_equitable_partitions(adjacency, **kw)
+            yield "almost-equitable", lat, MatrixFamily([laplacian(adjacency)]), None, None
+    elif args.group:
+        group, generators = _group_from_path(args.group)
+        net = cayley_network(group, generators)
+        lat = balanced_partitions(net, **sized(net.n))
+        cosets = partial(_verify_cosets, group, generators)
+        yield "cayley", lat, monochrome_adjacency(net), net.cell_types, cosets
+    else:
+        if args.incidence:
+            inc = IncidenceStructure.from_json_dict(_load_json(args.incidence))
+            family = incidence_family(inc)
+        else:
+            family = _family_from_path(args.matrices)
+        square = family.is_square and not args.incidence and args.command != "tactical"
+        if args.command == "lattice" and not square:
+            raise ValueError("the 'lattice' command needs square matrices; see 'tactical'")
+        if square:
+            lat = invariant_lattice(family, **sized(family.cols))
+            yield "lattice", lat, family, None, None
+        else:
+            lat = tactical_lattice(family, **sized(max(family.rows, family.cols)))
+            yield "tactical", lat, family, None, None
+
+
+def _cmd_lattices(args) -> int:
+    """Emit each lattice in ``--format`` (none for ``verify``), and under
+    ``--verify`` check it right after; exit 4 if any check failed."""
+    checks = []
+    for label, lattice, family, below, also in _lattices(args):
+        if args.format:
+            _emit_lattice(lattice, args.format)
+        if args.verify:
+            checks.append(_verify(label, lattice, family, below))
+            if also is not None:
+                checks.append(also(lattice))
+    return 4 if False in checks else 0
 
 
 def _cmd_cir(args) -> int:
@@ -320,172 +384,15 @@ def _cmd_cir(args) -> int:
                 indent=2,
             )
         )
-    if args.verify:
-        ok = _verify_cir(family, start, result)
-        if ok is False:
-            return 4
-    return 0
-
-
-def _verify_cir(family: MatrixFamily, start: Partition, result: Partition) -> Optional[bool]:
-    expected = _brute_square(family, below=start)
-    if expected is None:
-        print(f"verify skipped (cir): n > {MAX_BRUTE_N}", file=sys.stderr)
-        return None
-    coarsest = Partition.discrete(start.n)
-    for candidate in expected:
-        coarsest = coarsest.join(candidate)
-    ok = (
-        result == coarsest
-        and result.refines(start)
-        and is_invariant(family, result)
-    )
-    if ok:
-        print("verify ok (cir)", file=sys.stderr)
-        return True
-    print(
-        f"verify MISMATCH (cir): engine {result.bar()}, oracle {coarsest.bar()}",
-        file=sys.stderr,
-    )
-    return False
-
-
-def _cmd_tactical(args) -> int:
-    if args.incidence:
-        family = incidence_family(_incidence_from_path(args.incidence))
-    else:
-        family = _family_from_path(args.matrices)
-    lattice = _tactical(family, args)
-    _emit_lattice(lattice, args.format)
-    if args.verify and _verify_tactical(lattice, family) is False:
+    if args.verify and _verify_cir(family, start, result) is False:
         return 4
     return 0
-
-
-def _tactical(family: MatrixFamily, args) -> InvariantLattice:
-    workers = _resolve_workers(args.workers, max(family.rows, family.cols))
-    return tactical_lattice(family, workers=workers, element_cap=args.cap)
-
-
-def _cmd_network(args, exo: bool) -> int:
-    net = _network_from_path(args.network)
-    workers = _resolve_workers(args.workers, net.n)
-    compute = exo_balanced_partitions if exo else balanced_partitions
-    lattice = compute(net, workers=workers, element_cap=args.cap)
-    _emit_lattice(lattice, args.format)
-    if args.verify:
-        fam = monochrome_adjacency(net)
-        if exo:
-            fam = MatrixFamily([laplacian(m) for m in fam.matrices])
-        label = "exo-balanced" if exo else "balanced"
-        if _verify_square(lattice, fam, net.cell_types, label) is False:
-            return 4
-    return 0
-
-
-def _cmd_graph(args, almost: bool) -> int:
-    adjacency = _adjacency_from_path(args.adjacency)
-    workers = _resolve_workers(args.workers, adjacency.cols)
-    compute = almost_equitable_partitions if almost else equitable_partitions
-    lattice = compute(adjacency, workers=workers, element_cap=args.cap)
-    _emit_lattice(lattice, args.format)
-    if args.verify:
-        fam = MatrixFamily([laplacian(adjacency) if almost else adjacency])
-        label = "almost-equitable" if almost else "equitable"
-        if _verify_square(lattice, fam, None, label) is False:
-            return 4
-    return 0
-
-
-def _cmd_cayley(args) -> int:
-    group, generators = _group_from_path(args.group)
-    net = cayley_network(group, generators)
-    workers = _resolve_workers(args.workers, net.n)
-    lattice = balanced_partitions(net, workers=workers, element_cap=args.cap)
-    _emit_lattice(lattice, args.format)
-    if args.verify:
-        fam = monochrome_adjacency(net)
-        if _verify_square(lattice, fam, net.cell_types, "cayley") is False:
-            return 4
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    checks = []
-    if args.matrices:
-        family = _family_from_path(args.matrices)
-        if family.is_square:
-            workers = _resolve_workers(args.workers, family.cols)
-            lat = invariant_lattice(family, workers=workers, element_cap=args.cap)
-            checks.append(_verify_square(lat, family, None, "lattice"))
-        else:
-            lat = _tactical(family, args)
-            checks.append(_verify_tactical(lat, family))
-    elif args.incidence:
-        family = incidence_family(_incidence_from_path(args.incidence))
-        lat = _tactical(family, args)
-        checks.append(_verify_tactical(lat, family))
-    elif args.network:
-        net = _network_from_path(args.network)
-        workers = _resolve_workers(args.workers, net.n)
-        fam = monochrome_adjacency(net)
-        lat = balanced_partitions(net, workers=workers, element_cap=args.cap)
-        checks.append(_verify_square(lat, fam, net.cell_types, "balanced"))
-        lfam = MatrixFamily([laplacian(m) for m in fam.matrices])
-        lat = exo_balanced_partitions(net, workers=workers, element_cap=args.cap)
-        checks.append(_verify_square(lat, lfam, net.cell_types, "exo-balanced"))
-    elif args.adjacency:
-        adjacency = _adjacency_from_path(args.adjacency)
-        workers = _resolve_workers(args.workers, adjacency.cols)
-        lat = equitable_partitions(adjacency, workers=workers, element_cap=args.cap)
-        checks.append(_verify_square(lat, MatrixFamily([adjacency]), None, "equitable"))
-        lat = almost_equitable_partitions(adjacency, workers=workers, element_cap=args.cap)
-        checks.append(
-            _verify_square(
-                lat, MatrixFamily([laplacian(adjacency)]), None, "almost-equitable"
-            )
-        )
-    else:
-        group, generators = _group_from_path(args.group)
-        net = cayley_network(group, generators)
-        workers = _resolve_workers(args.workers, net.n)
-        lat = balanced_partitions(net, workers=workers, element_cap=args.cap)
-        checks.append(
-            _verify_square(lat, monochrome_adjacency(net), net.cell_types, "cayley")
-        )
-        cosets = subgroup_coset_partitions(group)
-        if set(lat.elements) == cosets:
-            print(
-                f"verify ok (coset partitions): {len(cosets)} subgroups",
-                file=sys.stderr,
-            )
-            checks.append(True)
-        else:
-            print("verify MISMATCH (coset partitions)", file=sys.stderr)
-            checks.append(False)
-    return 4 if any(c is False for c in checks) else 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "lattice":
-            return _cmd_lattice(args)
-        if args.command == "cir":
-            return _cmd_cir(args)
-        if args.command == "tactical":
-            return _cmd_tactical(args)
-        if args.command == "balanced":
-            return _cmd_network(args, exo=False)
-        if args.command == "exo-balanced":
-            return _cmd_network(args, exo=True)
-        if args.command == "equitable":
-            return _cmd_graph(args, almost=False)
-        if args.command == "almost-equitable":
-            return _cmd_graph(args, almost=True)
-        if args.command == "cayley":
-            return _cmd_cayley(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except ElementCapExceeded as exc:
         print(f"synclat: {exc}", file=sys.stderr)
         return 3

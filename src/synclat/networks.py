@@ -304,6 +304,22 @@ class GroupTable(object):
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    def generated(self, gens: Iterable[int]) -> frozenset:
+        """The subgroup generated by the 0-based elements ``gens``: every
+        product of them, found as the elements reached from the identity by
+        right multiplication (in a finite group inverses are such products)."""
+        gens = tuple(gens)
+        reached = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            g = frontier.pop()
+            for s in gens:
+                h = self.table[g][s]
+                if h not in reached:
+                    reached.add(h)
+                    frontier.append(h)
+        return frozenset(reached)
+
     @classmethod
     def cyclic(cls, n: int) -> "GroupTable":
         return cls([[(i + j) % n for j in range(n)] for i in range(n)])
@@ -355,18 +371,10 @@ def cayley_network(group: GroupTable, generators: Sequence[int]) -> ColoredNetwo
     for s in gens:
         if not 0 <= s < group.order:
             raise ValueError(f"generator index {s + 1} out of range 1..{group.order}")
-    closure = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        g = frontier.pop()
-        for s in gens:
-            h = group.mul(g, s)
-            if h not in closure:
-                closure.add(h)
-                frontier.append(h)
-    if len(closure) != group.order:
+    reached = len(group.generated(gens))
+    if reached != group.order:
         warnings.warn(
-            f"generators reach only {len(closure)} of {group.order} elements",
+            f"generators reach only {reached} of {group.order} elements",
             NetworkConsistencyWarning,
             stacklevel=2,
         )
@@ -384,18 +392,6 @@ def subgroups(group: GroupTable) -> list:
     if group.order > 1024:
         raise ValueError("subgroup enumeration is capped at order 1024")
 
-    def closure_of(seed: frozenset) -> frozenset:
-        elems = set(seed) | {group.identity}
-        frontier = list(elems)
-        while frontier:
-            a = frontier.pop()
-            for b in list(elems):
-                for c in (group.mul(a, b), group.mul(b, a)):
-                    if c not in elems:
-                        elems.add(c)
-                        frontier.append(c)
-        return frozenset(elems)
-
     found = {frozenset([group.identity])}
     frontier = [frozenset([group.identity])]
     while frontier:
@@ -403,7 +399,7 @@ def subgroups(group: GroupTable) -> list:
         for g in range(group.order):
             if g in h:
                 continue
-            extended = closure_of(h | {g})
+            extended = group.generated(h | {g})
             if extended not in found:
                 found.add(extended)
                 frontier.append(extended)

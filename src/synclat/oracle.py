@@ -3,7 +3,9 @@
 Everything here deliberately avoids the refinement engine: invariance is
 decided by exact column-space containment on materialized characteristic
 matrices, enumeration walks all partitions via the restricted-growth
-successor, and cover edges come from a quadratic transitive reduction.  Slow by design; the point is a second, unrelated code path.
+successor, and cover edges come from a transitive reduction of the
+refinement order, read off per-point-pair bitsets.  Slow by design; the
+point is a second, unrelated code path.
 """
 
 from __future__ import annotations
@@ -89,25 +91,50 @@ def brute_tactical_set(family: MatrixFamily) -> Set[PartitionPair]:
 
 def hasse_edges(elements: Sequence) -> list:
     """Transitive reduction of refinement restricted to ``elements``
-    (partitions, or partition pairs), by comparing every pair.
+    (partitions, or partition pairs).
 
     Returns sorted (coarser_index, finer_index) pairs.  The reference for the
     cover edges the lattice search derives from its splits: two invariant
     elements can have strictly intermediate partitions that are not
     invariant, making them covers here but not in the ambient lattice.
+
+    Refinement is read off bitsets over the element indices.  For each side
+    and each pair of points a < b, ``together`` holds the elements that put a
+    and b in one class.  Element j refines element i exactly when j keeps
+    apart every pair that i keeps apart, so the elements below i are those
+    in none of the masks of the pairs i separates.
     """
     elements = list(elements)
     if len(set(elements)) != len(elements):
         raise ValueError("hasse_edges expects pairwise distinct elements")
     k = len(elements)
-    below = [0] * k  # bitmask: below[i] has bit j iff elements[j] < elements[i]
+    if not k:
+        return []
+    if isinstance(elements[0], PartitionPair):
+        sides = [
+            [e.row_part.coloring for e in elements],
+            [e.col_part.coloring for e in elements],
+        ]
+    else:
+        sides = [[e.coloring for e in elements]]
+    joined = [0] * k  # joined[i]: elements that join a pair that i splits
+    for colorings in sides:
+        n = len(colorings[0])
+        for a in range(n):
+            for b in range(a + 1, n):
+                together = 0
+                for j, c in enumerate(colorings):
+                    if c[a] == c[b]:
+                        together |= 1 << j
+                for i, c in enumerate(colorings):
+                    if c[a] != c[b]:
+                        joined[i] |= together
+    # complemented in place, so that only one list of k-bit masks is alive:
+    # below[i] has bit j iff elements[j] strictly refines elements[i]
+    full = (1 << k) - 1
+    below = joined
     for i in range(k):
-        ei = elements[i]
-        mask = 0
-        for j in range(k):
-            if i != j and elements[j].refines(ei):
-                mask |= 1 << j
-        below[i] = mask
+        below[i] = full ^ (joined[i] | 1 << i)
     edges = []
     for i in range(k):
         mask = below[i]

@@ -321,10 +321,6 @@ class PartitionPair:
             raise ValueError(f"pair bar notation needs two comma-separated parts: {text!r}")
         return cls(Partition.from_bar(left, m), Partition.from_bar(right, n))
 
-    def key(self) -> tuple:
-        """Sort key: lexicographic on the two coloring vectors."""
-        return (self.row_part.coloring, self.col_part.coloring)
-
     def refines(self, other: "PartitionPair") -> bool:
         self._check_shape(other)
         return self.row_part.refines(other.row_part) and self.col_part.refines(

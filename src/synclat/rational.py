@@ -76,15 +76,6 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
@@ -98,11 +89,6 @@ class RationalMatrix:
             )
             self._sparse_rows = cached
         return cached
-
-    def zero_fraction(self) -> Fraction:
-        total = self.rows * self.cols
-        nz = sum(len(r) for r in self.sparse_rows())
-        return Fraction(total - nz, total)
 
     def to_json_dict(self) -> dict:
         def emit(x: Fraction):
@@ -194,17 +180,10 @@ def colored_product(matrix: RationalMatrix, coloring: Sequence[int]) -> Rational
         raise ValueError("coloring entries must be positive integers")
     k = max(coloring)
     out = [[Fraction(0)] * k for _ in range(matrix.rows)]
-    if matrix.zero_fraction() > Fraction(1, 2):
-        for i, row in enumerate(matrix.sparse_rows()):
-            oi = out[i]
-            for j, x in row:
-                oi[coloring[j] - 1] += x
-    else:
-        for i, row in enumerate(matrix.entries):
-            oi = out[i]
-            for j, x in enumerate(row):
-                if x:
-                    oi[coloring[j] - 1] += x
+    for i, row in enumerate(matrix.sparse_rows()):
+        oi = out[i]
+        for j, x in row:
+            oi[coloring[j] - 1] += x
     return RationalMatrix(out)
 
 

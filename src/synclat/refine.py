@@ -245,19 +245,13 @@ def _square_fixpoint(
     )
 
 
-def cir_coloring(family: MatrixFamily, coloring: Sequence[int]) -> tuple:
-    """Raw-coloring variant of :func:`cir` for hot loops: takes and returns a
-    canonical 1-based coloring tuple."""
-    col, classes = _start_state(coloring)
-    _square_fixpoint(family.engine(), col, classes)
-    return canonical_coloring(col)
-
-
 def cir(family: MatrixFamily, start: Partition) -> Partition:
     """Coarsest invariant refinement: the unique coarsest partition that is
     invariant under every matrix of the family and refines ``start``."""
     _check_square(family, start)
-    return Partition._from_canonical(cir_coloring(family, start.coloring))
+    col, classes = _start_state(start.coloring)
+    _square_fixpoint(family.engine(), col, classes)
+    return Partition._from_canonical(canonical_coloring(col))
 
 
 def cir_chain(family: MatrixFamily, start: Partition) -> list:
@@ -284,32 +278,21 @@ def is_invariant(family: MatrixFamily, part: Partition) -> bool:
     return not changed
 
 
-def _psi_coloring(engine: tuple, m: int, ncol: list) -> list:
-    """Induced partition of {0..m-1} by row keys (0-based, labels in order
-    of first appearance)."""
-    out = [0] * m
-    _apply_classes(_split_pass(engine, [list(range(m))], ncol)[0], out)
-    return out
-
-
 def directed_containment(
     family: MatrixFamily, row_part: Partition, col_part: Partition
 ) -> bool:
     """True iff every matrix maps the synchrony subspace of ``col_part`` into
-    the synchrony subspace of ``row_part``."""
+    the synchrony subspace of ``row_part`` (one pass over the row classes
+    against the column coloring splits nothing)."""
     if row_part.n != family.rows or col_part.n != family.cols:
         raise ValueError(
             f"partition sizes ({row_part.n}, {col_part.n}) do not match "
             f"family shape {family.rows}x{family.cols}"
         )
+    _, classes = _start_state(row_part.coloring)
     ncol = [c - 1 for c in col_part.coloring]
-    psi = _psi_coloring(family.engine(), family.rows, ncol)
-    image: dict = {}
-    for ca, cpsi in zip(row_part.coloring, psi):
-        prev = image.setdefault(ca, cpsi)
-        if prev != cpsi:
-            return False
-    return True
+    _, changed = _split_pass(family.engine(), classes, ncol)
+    return not changed
 
 
 def is_tactical(family: MatrixFamily, pair: PartitionPair) -> bool:

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from synclat import Partition, PartitionPair
+from synclat import NetworkConsistencyWarning, Partition, PartitionPair, graph_incidence
 from synclat.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -253,3 +255,103 @@ def test_workers_flag_matches_sequential(capsys):
         capsys, "tactical", "--incidence", path("fano.json"), "--workers", "2"
     )[1]
     assert base == par
+
+
+def verify_lines(err):
+    return [line for line in err.splitlines() if line.startswith("verify")]
+
+
+# (input, file, the commands that read it); verify --X must act like them
+ONE_PATH_CASES = [
+    ("matrices", "fig1.json", ["lattice"]),
+    ("matrices", "cipnet.json", ["lattice"]),
+    ("matrices", "fano.json", ["lattice"]),
+    ("matrices", "path4.json", ["lattice"]),
+    ("matrices", "rect.json", ["tactical"]),
+    ("matrices", "bad_float.json", ["lattice"]),
+    # fano.json is read as a family above, not as an incidence: the tactical
+    # oracle would scan 877 x 877 pairs, which takes minutes
+    ("incidence", "k13.json", ["tactical"]),
+    ("network", "balex2.json", ["balanced", "exo-balanced"]),
+    ("network", "forpath.json", ["balanced", "exo-balanced"]),
+    ("adjacency", "path4.json", ["equitable", "almost-equitable"]),
+    ("adjacency", "fig1.json", ["equitable", "almost-equitable"]),
+    ("group", "q8.json", ["cayley"]),
+]
+
+
+@pytest.mark.parametrize(
+    "source, name, commands",
+    ONE_PATH_CASES,
+    ids=[f"{source}-{name}" for source, name, _ in ONE_PATH_CASES],
+)
+def test_verify_runs_the_commands_that_read_its_input(capsys, source, name, commands):
+    # verify --X is every command reading X, run with --verify, minus stdout
+    codes, lines = [], []
+    for command in commands:
+        code, _, err = run(capsys, command, f"--{source}", path(name), "--verify")
+        codes.append(code)
+        lines += verify_lines(err)
+    code, out, err = run(capsys, "verify", f"--{source}", path(name))
+    assert out == ""
+    assert code == max(codes)
+    assert verify_lines(err) == lines
+
+
+def test_tactical_verify_skips_past_the_oracle_caps(capsys, tmp_path):
+    # 10 x 15 vertex-edge incidence: Bell(15) is past the tabulated Bell
+    # numbers, so the check is skipped instead of failing
+    edges = [(i, i + 1) for i in range(1, 10)]
+    edges += [(1, 3), (1, 4), (2, 6), (3, 7), (5, 9), (6, 10)]
+    inc = tmp_path / "inc.json"
+    entries = graph_incidence(10, edges).to_json_dict()["entries"]
+    inc.write_text(json.dumps({"matrices": [entries]}))
+    for argv in (
+        ["tactical", "--incidence", str(inc), "--verify"],
+        ["verify", "--incidence", str(inc)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert verify_lines(err) == ["verify skipped (tactical): ground sets too large"]
+
+
+def test_cayley_verify_compares_cosets_only_for_generating_sets(capsys, tmp_path):
+    for argv in (["cayley", "--verify"], ["verify"]):
+        code, _, err = run(capsys, *argv, "--group", path("q8.json"))
+        assert code == 0
+        assert verify_lines(err) == [
+            "verify ok (cayley): 6 elements, 7 cover edges",
+            "verify ok (coset partitions): 6 subgroups",
+        ]
+    # the element i alone generates a subgroup of order 4: the balanced
+    # partitions are no coset partitions, and the engine still agrees with
+    # the oracle
+    with open(path("q8.json")) as fh:
+        group = json.load(fh)
+    group["generators"] = [2]
+    single = tmp_path / "q8_i.json"
+    single.write_text(json.dumps(group))
+    for argv in (["cayley", "--verify"], ["verify"]):
+        with pytest.warns(NetworkConsistencyWarning):
+            code, _, err = run(capsys, *argv, "--group", str(single))
+        assert code == 0, err
+        lines = verify_lines(err)
+        assert lines[0].startswith("verify ok (cayley): ")
+        assert lines[1:] == [
+            "verify skipped (coset partitions): generators reach only 4 of 8 elements"
+        ]
+
+
+def test_module_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "synclat.cli", "verify", "--matrices", path("fig1.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert verify_lines(proc.stderr) == ["verify ok (lattice): 11 elements, 16 cover edges"]

@@ -7,6 +7,8 @@ from synclat import (
     ElementCapExceeded,
     MatrixFamily,
     Partition,
+    PartitionPair,
+    all_partitions,
     balanced_partitions,
     bell_number,
     brute_invariant_set,
@@ -230,6 +232,22 @@ def test_hasse_edges_chain_and_single():
         hasse_edges([bar("12|3", 3), bar("12|3", 3)])
 
 
+def covers_by_definition(elements):
+    """The (coarser, finer) index pairs with nothing of ``elements`` strictly
+    between them, by the triple loop over the definition."""
+    edges = []
+    for i, coarse in enumerate(elements):
+        for j, fine in enumerate(elements):
+            if i == j or not fine.refines(coarse):
+                continue
+            if not any(
+                k not in (i, j) and fine.refines(mid) and mid.refines(coarse)
+                for k, mid in enumerate(elements)
+            ):
+                edges.append((i, j))
+    return edges
+
+
 def test_hasse_edges_transitive_reduction_random():
     rng = random.Random(2)
     for _ in range(30):
@@ -238,17 +256,21 @@ def test_hasse_edges_transitive_reduction_random():
         lat = invariant_lattice(fam)
         elements = lat.elements
         assert lat.cover_edges == tuple(hasse_edges(elements))
-        edges = set(lat.cover_edges)
-        for i, coarse in enumerate(elements):
-            for j, fine in enumerate(elements):
-                if i == j or not fine.refines(coarse):
-                    continue
-                strictly_between = [
-                    mid
-                    for k, mid in enumerate(elements)
-                    if k not in (i, j) and fine.refines(mid) and mid.refines(coarse)
-                ]
-                assert ((i, j) in edges) == (not strictly_between)
+        assert hasse_edges(elements) == covers_by_definition(elements)
+    # arbitrary element sets, not lattices: partitions, and pairs of them
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        parts = list(all_partitions(n))
+        subset = rng.sample(parts, rng.randint(0, min(len(parts), 25)))
+        assert hasse_edges(subset) == covers_by_definition(subset)
+        rows = list(all_partitions(rng.randint(1, 4)))
+        pairs = list(
+            {
+                PartitionPair(rng.choice(rows), rng.choice(parts))
+                for _ in range(rng.randint(0, 25))
+            }
+        )
+        assert hasse_edges(pairs) == covers_by_definition(pairs)
 
 
 def test_lattice_json_shape(balex_family):

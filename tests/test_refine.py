@@ -20,7 +20,7 @@ from synclat import (
     matmul,
 )
 from synclat.oracle import all_partitions
-from synclat.refine import _psi_coloring, _split_pass
+from synclat.refine import _split_pass
 from conftest import M3_DIAG, M3_OTHER
 
 
@@ -253,12 +253,14 @@ def test_cancelling_row_keys_like_an_empty_row():
     # row 1 sends +1 and -1 into class {3, 4}: its in-weight there is 0, the
     # same as the empty rows 2-4
     fam = MatrixFamily([[[0, 0, 1, -1], [0] * 4, [0] * 4, [0] * 4]])
-    assert _psi_coloring(fam.engine(), 4, [0, 0, 1, 1]) == [0, 0, 0, 0]
     assert _split_pass(fam.engine(), [[0, 1, 2, 3]], [0, 0, 1, 1]) == (
         [[0, 1, 2, 3]],
         False,
     )
-    assert _psi_coloring(fam.engine(), 4, [0, 0, 1, 2]) == [0, 1, 1, 1]
+    assert _split_pass(fam.engine(), [[0, 1, 2, 3]], [0, 0, 1, 2]) == (
+        [[0], [1, 2, 3]],
+        True,
+    )
     for bar, expected in (("12|34", True), ("1234", True), ("12|3|4", False)):
         part = Partition.from_bar(bar, 4)
         assert is_invariant(fam, part) is expected
@@ -270,7 +272,7 @@ def test_row_keys_do_not_carry_between_digits():
     # key base of 3 (below 2R + 1 = 5 for the row sum R = 2) would make
     # -1 + 3 == 2 and merge the two rows
     fam = MatrixFamily([[[-1, 0, 1], [1, 1, 0], [0, 0, 0]]])
-    assert _psi_coloring(fam.engine(), 3, [0, 0, 1]) == [0, 1, 2]
+    assert _split_pass(fam.engine(), [[0, 1, 2]], [0, 0, 1]) == ([[0], [1], [2]], True)
     part = Partition.from_bar("12|3", 3)
     assert not is_invariant(fam, part)
     assert part not in brute_invariant_set(fam)
