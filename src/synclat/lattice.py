@@ -1,49 +1,51 @@
 """Enumeration of the full lattice of invariant partitions (or tactical
 decompositions) of a matrix family, by split and cir.
 
-One search serves both.  An element is a tuple of canonical colorings, one
-per side: the ground set of a square family, or the rows and the columns of
-a possibly rectangular one.  The search starts from the refinement fixpoint
-of the one-class element, then repeatedly pops an element, forms every lower
-cover by splitting one class of one side in two, and runs the refinement
-fixpoint (cir) on each cover.  Every fixpoint is invariant (tactical, for two
-sides); a seen-set of elements ensures each is expanded at most once.  Since
-every invariant element below a popped one is reachable through some cover,
-the search is exhaustive.
+One search serves both.  It starts from the refinement fixpoint (cir) of a
+start coloring, then repeatedly pops an element, forms every lower cover by
+splitting one class in two, and runs cir on each cover.  Every fixpoint is
+invariant, and a seen-set of elements ensures each is expanded at most once.
+Every invariant element below a popped one is reachable through some cover,
+so the search finds exactly the invariant partitions below cir(start): with
+the one-class start, all of them; with the cell types of a network, its
+balanced partitions.
 
-The splits of an element are cut into tasks ``(element, side, class color,
-mask lo, mask hi)``.  With one worker the tasks run inline, in queue order;
-with more they run in a process pool, submitted as soon as their element is
+A tactical decomposition (A, B) of a rectangular family is one coloring of
+the rows followed by the columns: it is tactical exactly when that joined
+coloring is invariant under the square block family [[0, M_l], [M_l^T, 0]]
+(see :mod:`synclat.refine`).  The split {rows | columns} lies above every
+such coloring, and splitting a class of a joined coloring splits one class
+on one side, so the tactical lattice is the same search on the block engine
+from that start.  Canonical joined colorings number the row classes first,
+so their order is the order of (row, column) pairs.
+
+The splits of an element are cut into tasks ``(element, class color, mask
+lo, mask hi)``.  With one worker the tasks run inline, in queue order; with
+more they run in a process pool, submitted as soon as their element is
 found.  Results are set-valued and order-independent, so the output is
 identical for any worker count.
 
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice, so covers are not inherited from the ambient lattice.
 They come from the search instead.  Let L be a lower cover of an element E.
-On some side L splits a class of E; split that class in two along a union of
-L's classes.  The cir of that start lies between L and E and is strictly
-below E, so it is L.  Hence the lower covers of E are exactly the maximal
-elements among the cir results of E's one-class splits, which the search
-computes anyway.  The argument is the same for pair splits.
+L splits some class of E; split that class in two along a union of L's
+classes.  The cir of that start lies between L and E and is strictly below
+E, so it is L.  Hence the lower covers of E are exactly the maximal elements
+among the cir results of E's one-class splits, which the search computes
+anyway.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .partition import Partition, PartitionPair, _split_labels, canonical_coloring
-from .refine import (
-    MatrixFamily,
-    _square_fixpoint,
-    _start_state,
-    _tactical_engines,
-    tactical_fixpoint_colorings,
-)
+from .refine import MatrixFamily, _square_fixpoint
 
 _TASK_CHUNK = 4096  # cover masks per worker task
 
@@ -73,27 +75,24 @@ class LatticeStats:
     ``visited_exact`` drops to False); multi-worker runs report None since
     unioning the per-worker sets would dwarf the actual computation.
 
-    ``queue_peak`` measures the element queue in sequential mode and the
-    outstanding task set in worker mode (where it can vary with scheduling;
-    elements and cover edges never do).
+    ``queue_peak`` is the longest the element queue grew in a
+    ``workers == 1`` run; multi-worker runs report None, because their
+    outstanding work depends on scheduling (elements and cover edges never
+    do).
+
+    The counts describe the search that ran: for balanced and exo-balanced
+    partitions, the search below the cell types, not the whole lattice.
     """
 
     cir_calls: int = 0
     splits_examined: int = 0
-    queue_peak: int = 0
+    queue_peak: Optional[int] = 0
     popped: int = 0
     visited_partitions: Optional[int] = None
     visited_exact: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "cir_calls": self.cir_calls,
-            "splits_examined": self.splits_examined,
-            "queue_peak": self.queue_peak,
-            "popped": self.popped,
-            "visited_partitions": self.visited_partitions,
-            "visited_exact": self.visited_exact,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -158,25 +157,25 @@ class InvariantLattice:
 class _VisitedSet:
     """Distinct-partition tracker with a saturation cap."""
 
-    def __init__(self, cap: int, sides: tuple):
+    def __init__(self, cap: int, n: int):
         self.cap = cap
         self.items: set = set()
         self.exact = True
-        # colors are bounded by the side length, so byte strings are a
+        # colors are bounded by the ground-set size, so byte strings are a
         # compact set key
-        self.compact = max(sides) < 256
+        self.compact = n < 256
 
-    def add(self, element: tuple) -> None:
-        """Add an element given as one canonical coloring per side."""
+    def add(self, coloring: tuple) -> None:
+        """Add a partition given as its canonical coloring."""
         if self.exact:
-            self.items.add(b"\x00".join(map(bytes, element)) if self.compact else element)
+            self.items.add(bytes(coloring) if self.compact else coloring)
             if len(self.items) > self.cap:
                 self.exact = False
 
-    def record(self, *labelings) -> None:
-        """Add the element given by one labeling per side."""
+    def record(self, labeling) -> None:
+        """Add the partition given by a labeling."""
         if self.exact:
-            self.add(tuple(map(canonical_coloring, labelings)))
+            self.add(canonical_coloring(labeling))
 
 
 def invariant_lattice(
@@ -194,15 +193,26 @@ def invariant_lattice(
     lattice, which grows like the Bell numbers) and trips
     :class:`ElementCapExceeded` when exceeded.
     """
+    return _invariant_below(
+        family,
+        Partition.singleton(family.cols),
+        workers=workers,
+        element_cap=element_cap,
+        visited_cap=visited_cap,
+    )
+
+
+def _invariant_below(
+    family: MatrixFamily, top: Partition, **kwargs
+) -> InvariantLattice:
+    """The invariant partitions that refine ``top``, found by the search from
+    cir(top); the element cap and the stats count only that down-set."""
     if not family.is_square:
         raise ValueError(
             f"invariant_lattice needs a square family, got {family.rows}x{family.cols}"
         )
-    found, stats, edges = _search(
-        (family.engine(),), (family.cols,), workers, element_cap, visited_cap
-    )
-    elements = tuple(Partition._from_canonical(c) for (c,) in found)
-    return InvariantLattice(elements, edges, stats)
+    found, stats, edges = _search(family.engine(), top.coloring, **kwargs)
+    return InvariantLattice(tuple(map(Partition._from_canonical, found)), edges, stats)
 
 
 def tactical_lattice(
@@ -214,41 +224,42 @@ def tactical_lattice(
 ) -> InvariantLattice:
     """All tactical decompositions of a (possibly rectangular) family.
 
-    Same search as :func:`invariant_lattice` with pair covers (split one
-    class on either side) and the two-sided refinement fixpoint, and the
-    same use of ``workers``.  The pair of all-singletons partitions is always
+    The search of :func:`invariant_lattice` on the block family
+    [[0, M_l], [M_l^T, 0]] from the split {rows | columns}, with the same
+    use of ``workers``.  The pair of all-singletons partitions is always
     tactical, so the lattice is never empty.
     """
+    m, n = family.rows, family.cols
     found, stats, edges = _search(
-        _tactical_engines(family),
-        (family.rows, family.cols),
-        workers,
-        element_cap,
-        visited_cap,
+        family.block_engine(),
+        (1,) * m + (2,) * n,
+        workers=workers,
+        element_cap=element_cap,
+        visited_cap=visited_cap,
     )
-    elements = tuple(
-        PartitionPair(Partition._from_canonical(a), Partition._from_canonical(b))
-        for a, b in found
-    )
+    elements = tuple(PartitionPair._from_joined(c, m) for c in found)
     return InvariantLattice(elements, edges, stats)
 
 
 def _search(
-    engines: tuple, sides: tuple, workers: int, element_cap: int, visited_cap: int
+    engine: tuple,
+    start: tuple,
+    *,
+    workers: int = 1,
+    element_cap: int = 10**6,
+    visited_cap: int = 2 * 10**6,
 ) -> tuple:
-    """Split and cir from the one-class element; returns the sorted elements
-    (one canonical coloring per side), the stats and the cover edges as
-    sorted (coarser, finer) index pairs into the elements.
+    """Split and cir from cir(start), for a canonical start coloring; returns
+    the sorted canonical colorings of the elements, the stats and the cover
+    edges as sorted (coarser, finer) index pairs into the elements.
 
-    With one engine the elements are invariant partitions; with the engines
-    of a family and of its transpose they are tactical pairs.  The lower
-    covers of a popped element are the maxima of the fixpoints of all its
-    splits, taken once the last of its tasks has returned.
+    The lower covers of a popped element are the maxima of the fixpoints of
+    all its splits, taken once the last of its tasks has returned.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    visited = _VisitedSet(visited_cap, sides) if workers == 1 else None
-    top = _fixpoint(engines, tuple(tuple([1] * s) for s in sides), visited)
+    visited = _VisitedSet(visited_cap, len(start)) if workers == 1 else None
+    top = _fixpoint(engine, start, visited)
     seen = {top: top}  # the one stored instance of each element
     covers = []  # (coarser, finer) pairs of instances stored in seen
     splits = 0
@@ -276,15 +287,15 @@ def _search(
             element = queue.popleft()
             below: dict = {}
             for task in expand(element):
-                found = _run_task(engines, task, visited)
+                found = _run_task(engine, task, visited)
                 below.update(found)
                 queue.extend(discover(found))
                 queue_peak = max(queue_peak, len(queue))
             covers.extend((element, seen[cover]) for cover in _maxima(below))
     else:
-        queue_peak = 0
+        queue_peak = None
         pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(engines,)
+            max_workers=workers, initializer=_pool_init, initargs=(engine,)
         )
         pending: dict = {}  # future -> the element it splits
         open_elements: dict = {}  # element -> [tasks outstanding, fixpoints so far]
@@ -299,7 +310,6 @@ def _search(
         try:
             submit(top)
             while pending:
-                queue_peak = max(queue_peak, len(pending))
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
                     element = pending.pop(fut)
@@ -331,82 +341,71 @@ def _search(
 
 
 def _maxima(candidates: Iterable[tuple]) -> list:
-    """The candidates (one canonical coloring per side) that refine no other
-    candidate.  A strictly finer element has strictly more classes, so each
-    candidate is compared only with the maxima that have fewer classes."""
+    """The canonical colorings among the candidates that refine no other
+    candidate.  A strictly finer element has strictly more classes (a
+    canonical coloring's largest color), so each candidate is compared only
+    with the maxima that have fewer classes."""
     maxima: list = []
-    for _, group in groupby(sorted(candidates, key=_class_count), _class_count):
+    for _, group in groupby(sorted(candidates, key=max), max):
         coarser = tuple(maxima)
         maxima += [c for c in group if not any(_refines(c, m) for m in coarser)]
     return maxima
 
 
-def _class_count(element: tuple) -> int:
-    # a canonical coloring's largest color is its number of classes
-    return sum(map(max, element))
-
-
 def _refines(fine: tuple, coarse: tuple) -> bool:
-    """True iff every class of ``fine`` lies inside a class of ``coarse``,
-    side by side; both are canonical colorings."""
-    return all(len(set(zip(f, c))) == max(f) for f, c in zip(fine, coarse))
+    """True iff every class of ``fine`` lies inside a class of ``coarse``;
+    both are canonical colorings."""
+    return len(set(zip(fine, coarse))) == max(fine)
 
 
 def _split_tasks(element: tuple) -> Iterable[tuple]:
-    """``(element, side, class color, mask lo, mask hi)`` ranges covering
-    every one-class split of every side, in ``_TASK_CHUNK`` masks each."""
-    for side, coloring in enumerate(element):
-        for color, size in Counter(coloring).items():
-            end = 1 << (size - 1)
-            for lo in range(1, end, _TASK_CHUNK):
-                yield (element, side, color, lo, min(lo + _TASK_CHUNK, end))
+    """``(element, class color, mask lo, mask hi)`` ranges covering every
+    one-class split, in ``_TASK_CHUNK`` masks each."""
+    for color, size in Counter(element).items():
+        end = 1 << (size - 1)
+        for lo in range(1, end, _TASK_CHUNK):
+            yield (element, color, lo, min(lo + _TASK_CHUNK, end))
 
 
 def _run_task(
-    engines: tuple, task: tuple, visited: Optional[_VisitedSet] = None
+    engine: tuple, task: tuple, visited: Optional[_VisitedSet] = None
 ) -> dict:
     """Refine every split of one task; returns the distinct fixpoints in
     order of first appearance."""
-    element, side, color, lo, hi = task
+    element, color, lo, hi = task
     found: dict = {}
-    for labels in _split_labels(element[side], color, lo, hi):
+    for labels in _split_labels(element, color, lo, hi):
         if visited is not None:
-            # visited keys are canonical, as the other sides already are
+            # visited keys are canonical
             labels = canonical_coloring(labels)
-        start = element[:side] + (labels,) + element[side + 1 :]
-        found[_fixpoint(engines, start, visited)] = None
+        found[_fixpoint(engine, labels, visited)] = None
     return found
 
 
 def _fixpoint(
-    engines: tuple, start: tuple, visited: Optional[_VisitedSet] = None
+    engine: tuple, start: Sequence[int], visited: Optional[_VisitedSet] = None
 ) -> tuple:
-    """cir of a start element given by one 1-based labeling per side, as one
-    canonical coloring per side.  ``visited`` gets the start, which must then
-    be canonical, and every refinement step."""
-    record = None
-    if visited is not None:
-        visited.add(start)
-        record = visited.record
-    if len(start) == 1:
-        col, classes = _start_state(start[0])
-        _square_fixpoint(engines[0], col, classes, record)
-        return (canonical_coloring(col),)
-    return tactical_fixpoint_colorings(*engines, *start, on_step=record)
+    """cir of a 1-based start labeling, as a canonical coloring.  ``visited``
+    gets the start, which must then be canonical, and every refinement
+    step."""
+    if visited is None:
+        return _square_fixpoint(engine, start)
+    visited.add(start)
+    return _square_fixpoint(engine, start, visited.record)
 
 
-# Pool workers receive the engines once, through the initializer, instead of
+# Pool workers receive the engine once, through the initializer, instead of
 # with every task.
-_WORKER_ENGINES = None
+_WORKER_ENGINE = None
 
 
-def _pool_init(engines: tuple) -> None:
-    global _WORKER_ENGINES
-    _WORKER_ENGINES = engines
+def _pool_init(engine: tuple) -> None:
+    global _WORKER_ENGINE
+    _WORKER_ENGINE = engine
 
 
 def _pool_run_task(task: tuple) -> dict:
-    return _run_task(_WORKER_ENGINES, task)
+    return _run_task(_WORKER_ENGINE, task)
 
 
 def filter_below(lattice: InvariantLattice, top: Partition) -> InvariantLattice:

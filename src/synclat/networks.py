@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .lattice import InvariantLattice, filter_below, invariant_lattice
+from .lattice import InvariantLattice, _invariant_below, invariant_lattice
 from .partition import Partition
 from .rational import RationalMatrix
 from .refine import MatrixFamily
@@ -206,19 +206,21 @@ def cell_types_to_loops(net: ColoredNetwork) -> ColoredNetwork:
 def balanced_partitions(net: ColoredNetwork, **kwargs) -> InvariantLattice:
     """Partitions refining the cell types with constant per-class in-arrow
     counts in every monochrome subgraph: the invariant partitions of the
-    monochrome adjacency matrices below the cell-type partition."""
-    lat = invariant_lattice(monochrome_adjacency(net), **kwargs)
-    return filter_below(lat, net.cell_types)
+    monochrome adjacency matrices below the cell-type partition.
+
+    Each of them lies below the cir of the cell types, so the search starts
+    there; its stats and ``element_cap`` count only this down-set."""
+    return _invariant_below(monochrome_adjacency(net), net.cell_types, **kwargs)
 
 
 def exo_balanced_partitions(net: ColoredNetwork, **kwargs) -> InvariantLattice:
     """Like balanced, but only arrows between distinct classes are counted:
     the invariant partitions of the monochrome Laplacians below the
-    cell-type partition."""
+    cell-type partition, searched as in :func:`balanced_partitions`."""
     fam = MatrixFamily(
         [laplacian(m) for m in monochrome_adjacency(net).matrices]
     )
-    return filter_below(invariant_lattice(fam, **kwargs), net.cell_types)
+    return _invariant_below(fam, net.cell_types, **kwargs)
 
 
 def _check_simple_graph(adjacency: RationalMatrix) -> None:

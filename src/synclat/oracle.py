@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the refinement engine: invariance is
 decided by exact column-space containment on materialized characteristic
-matrices, enumeration walks all partitions via the restricted-growth
+matrices, tactical pairs by the row partitions induced by materialized
+products, enumeration walks all partitions via the restricted-growth
 successor, and cover edges come from a transitive reduction of the
 refinement order, read off per-point-pair bitsets.  Slow by design; the
 point is a second, unrelated code path.
@@ -12,8 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence, Set
 
-from .partition import Partition, PartitionPair, characteristic_matrix
-from .rational import column_space_contains, matmul, transpose
+from .partition import Partition, PartitionPair, characteristic_matrix, induced_partition
+from .rational import augment, column_space_contains, matmul, transpose
 from .refine import MatrixFamily
 
 _BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
@@ -69,22 +70,33 @@ def brute_invariant_set(family: MatrixFamily) -> Set[Partition]:
 
 
 def brute_tactical_set(family: MatrixFamily) -> Set[PartitionPair]:
-    """All tactical decompositions of a family by exhaustive double scan."""
+    """All tactical decompositions of a family, deciding each side once per
+    partition.
+
+    The column space of a matrix Q lies in the synchrony subspace of a row
+    partition a exactly when Q's rows are equal within a's classes, that is
+    when a refines the partition induced by Q's rows.  So with rho(b) the
+    partition induced by [M_1 P_b | ... | M_r P_b] and sigma(a) the one
+    induced by [M_1^T P_a | ... | M_r^T P_a], the pair (a, b) is tactical
+    exactly when a refines rho(b) and b refines sigma(a).
+    """
     m, n = family.rows, family.cols
     if bell_number(m) * bell_number(n) > MAX_BRUTE_PAIRS:
         raise ValueError(
             f"brute-force tactical scan capped at {MAX_BRUTE_PAIRS} pairs"
         )
+
+    def induced(mats: list, part: Partition) -> Partition:
+        p = characteristic_matrix(part)
+        return induced_partition(augment([matmul(mat, p) for mat in mats]))
+
     transposes = [transpose(mat) for mat in family.matrices]
-    rows = [(a, characteristic_matrix(a)) for a in all_partitions(m)]
-    cols = [(b, characteristic_matrix(b)) for b in all_partitions(n)]
+    rows = [(a, induced(transposes, a)) for a in all_partitions(m)]
     out = set()
-    for b, pb in cols:
-        products = [matmul(mat, pb) for mat in family.matrices]
-        for a, pa in rows:
-            if all(column_space_contains(pa, q) for q in products) and all(
-                column_space_contains(pb, matmul(mt, pa)) for mt in transposes
-            ):
+    for b in all_partitions(n):
+        rho = induced(family.matrices, b)
+        for a, sigma in rows:
+            if a.refines(rho) and b.refines(sigma):
                 out.add(PartitionPair(a, b))
     return out
 
@@ -98,11 +110,13 @@ def hasse_edges(elements: Sequence) -> list:
     elements can have strictly intermediate partitions that are not
     invariant, making them covers here but not in the ambient lattice.
 
-    Refinement is read off bitsets over the element indices.  For each side
-    and each pair of points a < b, ``together`` holds the elements that put a
-    and b in one class.  Element j refines element i exactly when j keeps
-    apart every pair that i keeps apart, so the elements below i are those
-    in none of the masks of the pairs i separates.
+    Refinement is read off bitsets over the element indices.  For each pair
+    of points a < b, ``together`` holds the elements that put a and b in one
+    class.  Element j refines element i exactly when j keeps apart every
+    pair that i keeps apart, so the elements below i are those in none of
+    the masks of the pairs i separates.  A pair of partitions is taken as its
+    joined coloring of the rows, then the columns, in disjoint classes, which
+    refines another exactly when both sides do.
     """
     elements = list(elements)
     if len(set(elements)) != len(elements):
@@ -110,25 +124,20 @@ def hasse_edges(elements: Sequence) -> list:
     k = len(elements)
     if not k:
         return []
-    if isinstance(elements[0], PartitionPair):
-        sides = [
-            [e.row_part.coloring for e in elements],
-            [e.col_part.coloring for e in elements],
-        ]
-    else:
-        sides = [[e.coloring for e in elements]]
+    colorings = [
+        e.joined() if isinstance(e, PartitionPair) else e.coloring for e in elements
+    ]
     joined = [0] * k  # joined[i]: elements that join a pair that i splits
-    for colorings in sides:
-        n = len(colorings[0])
-        for a in range(n):
-            for b in range(a + 1, n):
-                together = 0
-                for j, c in enumerate(colorings):
-                    if c[a] == c[b]:
-                        together |= 1 << j
-                for i, c in enumerate(colorings):
-                    if c[a] != c[b]:
-                        joined[i] |= together
+    n = len(colorings[0])
+    for a in range(n):
+        for b in range(a + 1, n):
+            together = 0
+            for j, c in enumerate(colorings):
+                if c[a] == c[b]:
+                    together |= 1 << j
+            for i, c in enumerate(colorings):
+                if c[a] != c[b]:
+                    joined[i] |= together
     # complemented in place, so that only one list of k-bit masks is alive:
     # below[i] has bit j iff elements[j] strictly refines elements[i]
     full = (1 << k) - 1

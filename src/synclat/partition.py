@@ -311,6 +311,20 @@ class PartitionPair:
     def bar(self) -> str:
         return f"({self.row_part.bar()}, {self.col_part.bar()})"
 
+    def joined(self) -> tuple:
+        """One canonical coloring of the rows followed by the columns, with
+        the column classes numbered after the row classes."""
+        k = self.row_part.num_classes
+        return self.row_part.coloring + tuple(c + k for c in self.col_part.coloring)
+
+    @staticmethod
+    def _from_joined(coloring: tuple, m: int) -> "PartitionPair":
+        # Trusted inverse of joined() for engine output: a canonical coloring
+        # whose first m points share no class with the rest.
+        k = max(coloring[:m])
+        cols = Partition._from_canonical(tuple(c - k for c in coloring[m:]))
+        return PartitionPair(Partition._from_canonical(coloring[:m]), cols)
+
     @classmethod
     def from_bar(cls, text: str, m: int, n: int) -> "PartitionPair":
         body = text.strip()

@@ -10,17 +10,23 @@ meet of the current partition with those product blocks, so the sequence
 decreases monotonically and stabilizes on the coarsest invariant refinement
 in fewer than n strict steps.
 
-The same machinery, run on both sides of a rectangular family (the family on
-the column partition, the transposed family on the row partition, both sides
-advanced simultaneously from the step-k state), yields the coarsest tactical
-refinement.
+Tactical decompositions of a rectangular family are the same loop on a
+square family.  A pair (A, B) of a row and a column partition is tactical
+for M_1..M_r exactly when the joined coloring (the rows, then the columns,
+in disjoint classes) is invariant under the block matrices
+[[0, M_l], [M_l^T, 0]].  In the block family a row gets weight only from
+columns and a column only from rows, so one refinement pass splits each row
+class against the column coloring and each column class against the row
+coloring, both from the same state; a start that separates rows from
+columns keeps them apart.  :meth:`MatrixFamily.block_engine` prepares that
+family straight from the sparse entries, without the (m+n)^2 matrix.
 
 Implementation notes, because this is the hot path of the whole package:
 each family is prepared once into one integer engine.  Every matrix is
 scaled by the lcm of its denominators (M and cM have the same invariant
 partitions and tactical decompositions for c != 0), and the scaled matrices
 are packed into one integer weight per nonzero entry, so a row's signature
-against a coloring is a single exact integer key (see :func:`_prepare`).
+against a coloring is a single exact integer key (see :func:`_pack`).
 Families whose packed weights are all 1 (plain adjacency matrices) key short
 rows without a loop.
 Classes are refined bucket-by-bucket, so elements already isolated in
@@ -44,7 +50,7 @@ class MatrixFamily:
     column order of intermediate product blocks, never any result.
     """
 
-    __slots__ = ("matrices", "rows", "cols", "_engine", "_transposed")
+    __slots__ = ("matrices", "rows", "cols", "_engine", "_block", "_transposed")
 
     def __init__(self, matrices: Sequence):
         mats = tuple(
@@ -63,6 +69,7 @@ class MatrixFamily:
         self.rows = rows
         self.cols = cols
         self._engine = None
+        self._block = None
         self._transposed = None
 
     def __len__(self) -> int:
@@ -92,21 +99,51 @@ class MatrixFamily:
 
     def engine(self) -> tuple:
         if self._engine is None:
-            self._engine = _prepare(self.matrices)
+            self._engine = _pack(_scaled(self.matrices), self.cols)
         return self._engine
 
+    def block_engine(self) -> tuple:
+        """The engine of the square family [[0, M_l], [M_l^T, 0]] on the
+        rows followed by the columns, whose invariant partitions that
+        separate rows from columns are the tactical decompositions."""
+        if self._block is None:
+            m, n = self.rows, self.cols
+            blocks = []
+            for rows in _scaled(self.matrices):
+                cols: list = [[] for _ in range(n)]
+                for i, row in enumerate(rows):
+                    for j, x in row:
+                        cols[j].append((i, x))
+                blocks.append([[(m + j, x) for j, x in row] for row in rows] + cols)
+            self._block = _pack(blocks, m + n)
+        return self._block
 
-def _prepare(matrices: Sequence[RationalMatrix]) -> tuple:
-    """Pack a family into the integer engine ``(rows, pw, ones)``.
 
-    Each matrix M_l is scaled by the lcm of its denominators; this changes no
-    invariant partition or tactical decomposition.  With N columns, R the largest absolute row sum of
-    any scaled matrix and B = 2R + 1, entry (i, j) of the family becomes the
-    weight W_ij = sum_l M_l[i][j] * B**(l*N), and ``rows[i]`` lists the
-    ``(j, W_ij)`` with W_ij != 0.  ``pw[c]`` is B**c.
+def _scaled(matrices: Sequence[RationalMatrix]) -> list:
+    """Per matrix, its sparse rows ``[(j, x), ...]`` times the lcm of its
+    denominators; this changes no invariant partition or tactical
+    decomposition."""
+    out = []
+    for m in matrices:
+        sparse = m.sparse_rows()
+        d = math.lcm(*(x.denominator for row in sparse for _, x in row))
+        out.append(
+            [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in sparse]
+        )
+    return out
 
-    The key of row i against a column coloring ``ncol`` (colors below N) is
-    sum_j W_ij * pw[ncol[j]].  Its base-B digit at position l*N + c is the
+
+def _pack(matrices: list, n: int) -> tuple:
+    """Pack integer matrices with ``n`` columns, given as sparse rows, into
+    the engine ``(rows, pw, ones)``.
+
+    With R the largest absolute row sum of any matrix and B = 2R + 1, entry
+    (i, j) of the family becomes the weight W_ij = sum_l M_l[i][j] * B**(l*n),
+    and ``rows[i]`` lists the ``(j, W_ij)`` with W_ij != 0.  ``pw[c]`` is
+    B**c.
+
+    The key of row i against a column coloring ``ncol`` (colors below n) is
+    sum_j W_ij * pw[ncol[j]].  Its base-B digit at position l*n + c is the
     exact in-weight s(l, c) that row i of M_l gives to color c, and
     |s(l, c)| <= R < B/2.  Two such digit vectors that differ have a lowest
     differing position k, where the difference of the keys is B**k times a
@@ -118,26 +155,18 @@ def _prepare(matrices: Sequence[RationalMatrix]) -> tuple:
     When every packed weight is 1, ``ones`` is true and ``rows[i]`` holds the
     column indices alone; the key is then the plain sum of ``pw[ncol[j]]``.
     """
-    n = matrices[0].cols
-    scaled = []
-    for m in matrices:
-        d = math.lcm(*(x.denominator for row in m.entries for x in row))
-        scaled.append(
-            [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
-        )
-    bound = max(sum(abs(x) for x in row) for m in scaled for row in m)
+    bound = max(sum(abs(x) for _, x in row) for m in matrices for row in m)
     base = 2 * bound + 1
     shift = base**n
     rows = []
-    for i in range(matrices[0].rows):
-        packed = [0] * n
+    for i in range(len(matrices[0])):
+        packed: dict = {}
         scale = 1
-        for m in scaled:
-            for j, x in enumerate(m[i]):
-                if x:
-                    packed[j] += x * scale
+        for m in matrices:
+            for j, x in m[i]:
+                packed[j] = packed.get(j, 0) + x * scale
             scale *= shift
-        rows.append(tuple((j, w) for j, w in enumerate(packed) if w))
+        rows.append(tuple(sorted(packed.items())))
     ones = all(w == 1 for row in rows for _, w in row)
     if ones:
         rows = [tuple(j for j, _ in row) for row in rows]
@@ -147,14 +176,12 @@ def _prepare(matrices: Sequence[RationalMatrix]) -> tuple:
 def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:
     """One refinement pass: split every class by row key.
 
-    ``ncol`` maps a matrix column index to its current 0-based color (for the
-    square iteration this is the same coloring being refined; for the
-    tactical iteration it is the opposite side's coloring).  Members of a
-    class stay together exactly when their keys (see :func:`_prepare`) are
-    equal, and the new classes come in order of their first member.  Returns
-    ``(new_classes, changed)`` and mutates nothing, so both sides of a
-    tactical step can be computed from the same state before either is
-    applied.
+    ``ncol`` maps a matrix column index to its current 0-based color (the
+    coloring being refined, or for :func:`directed_containment` the column
+    coloring).  Members of a class stay together exactly when their keys
+    (see :func:`_pack`) are equal, and the new classes come in order of their
+    first member.  Returns ``(new_classes, changed)`` and mutates nothing, so
+    every class is split against the same state.
     """
     rows, pw, ones = engine
     out = []
@@ -201,42 +228,34 @@ def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:
     return out, changed
 
 
-def _apply_classes(classes: list, col: list) -> None:
-    for label, members in enumerate(classes):
-        for i in members:
-            col[i] = label
-
-
-def _classes_of(col: list) -> list:
-    k = max(col) + 1
-    classes: list = [[] for _ in range(k)]
+def _start_state(coloring: Sequence[int]) -> tuple:
+    """(col, classes) working state from a 1-based coloring."""
+    col = [c - 1 for c in coloring]
+    classes: list = [[] for _ in range(max(col) + 1)]
     for i, c in enumerate(col):
         classes[c].append(i)
-    return classes
-
-
-def _start_state(coloring: Sequence[int]) -> tuple:
-    """(col, classes) working state from a 1-based canonical coloring."""
-    col = [c - 1 for c in coloring]
-    return col, _classes_of(col)
+    return col, classes
 
 
 def _square_fixpoint(
     engine: tuple,
-    col: list,
-    classes: list,
+    coloring: Sequence[int],
     on_step: Optional[Callable[[list], None]] = None,
-) -> list:
-    """Run refinement to its fixed point in place; returns final classes."""
+) -> tuple:
+    """Refine a 1-based coloring to its fixed point and return that as a
+    canonical coloring; ``on_step`` gets the working labels after each
+    strict step."""
+    col, classes = _start_state(coloring)
     n = len(col)
     for _ in range(n + 1):
         if len(classes) == n:
-            return classes
-        new_classes, changed = _split_pass(engine, classes, col)
+            return canonical_coloring(col)
+        classes, changed = _split_pass(engine, classes, col)
         if not changed:
-            return classes
-        classes = new_classes
-        _apply_classes(classes, col)
+            return canonical_coloring(col)
+        for label, members in enumerate(classes):
+            for i in members:
+                col[i] = label
         if on_step is not None:
             on_step(col)
     raise AssertionError(
@@ -249,9 +268,8 @@ def cir(family: MatrixFamily, start: Partition) -> Partition:
     """Coarsest invariant refinement: the unique coarsest partition that is
     invariant under every matrix of the family and refines ``start``."""
     _check_square(family, start)
-    col, classes = _start_state(start.coloring)
-    _square_fixpoint(family.engine(), col, classes)
-    return Partition._from_canonical(canonical_coloring(col))
+    fixpoint = _square_fixpoint(family.engine(), start.coloring)
+    return Partition._from_canonical(fixpoint)
 
 
 def cir_chain(family: MatrixFamily, start: Partition) -> list:
@@ -261,21 +279,20 @@ def cir_chain(family: MatrixFamily, start: Partition) -> list:
     finer step, and the last element is ``cir(family, start)``.
     """
     _check_square(family, start)
-    chain = [start.coloring]
-    col, classes = _start_state(start.coloring)
+    chain = [start]
     _square_fixpoint(
-        family.engine(), col, classes, on_step=lambda c: chain.append(canonical_coloring(c))
+        family.engine(),
+        start.coloring,
+        lambda c: chain.append(Partition._from_canonical(canonical_coloring(c))),
     )
-    return [Partition._from_canonical(c) for c in chain]
+    return chain
 
 
 def is_invariant(family: MatrixFamily, part: Partition) -> bool:
     """True iff the synchrony subspace of ``part`` is mapped into itself by
     every matrix of the family (one refinement pass changes nothing)."""
     _check_square(family, part)
-    col, classes = _start_state(part.coloring)
-    _, changed = _split_pass(family.engine(), classes, col)
-    return not changed
+    return _is_stable(family.engine(), part.coloring)
 
 
 def directed_containment(
@@ -298,82 +315,38 @@ def directed_containment(
 def is_tactical(family: MatrixFamily, pair: PartitionPair) -> bool:
     """True iff the pair is a tactical decomposition of the family: the
     family maps the column synchrony subspace into the row one and the
-    transposed family maps the row one into the column one."""
+    transposed family maps the row one into the column one (the joined
+    coloring is invariant under the block family)."""
     _check_shape(family, pair)
-    return directed_containment(
-        family, pair.row_part, pair.col_part
-    ) and directed_containment(family.transposed(), pair.col_part, pair.row_part)
-
-
-def tactical_fixpoint_colorings(
-    fwd: tuple,
-    bwd: tuple,
-    ca: Sequence[int],
-    cb: Sequence[int],
-    on_step: Optional[Callable[[list, list], None]] = None,
-) -> tuple:
-    """Raw tactical refinement on the engines of a family (``fwd``) and of
-    its transpose (``bwd``); takes 1-based row and column labelings and
-    returns canonical coloring tuples.
-
-    Both sides advance from the same step-k state: the row side is split by
-    the family against the step-k column coloring, the column side by the
-    transposed family against the step-k row coloring, and only then are both
-    updates applied.
-    """
-    col_a, classes_a = _start_state(ca)
-    col_b, classes_b = _start_state(cb)
-    m, n = len(col_a), len(col_b)
-    for _ in range(m + n + 1):
-        new_a, changed_a = _split_pass(fwd, classes_a, col_b)
-        new_b, changed_b = _split_pass(bwd, classes_b, col_a)
-        if not changed_a and not changed_b:
-            return canonical_coloring(col_a), canonical_coloring(col_b)
-        if changed_a:
-            classes_a = new_a
-            _apply_classes(classes_a, col_a)
-        if changed_b:
-            classes_b = new_b
-            _apply_classes(classes_b, col_b)
-        if on_step is not None:
-            on_step(col_a, col_b)
-    raise AssertionError(
-        "tactical refinement failed to stabilize; internal invariant violation"
-    )
+    return _is_stable(family.block_engine(), pair.joined())
 
 
 def tactical_cir(family: MatrixFamily, pair: PartitionPair) -> PartitionPair:
     """Coarsest tactical refinement below ``pair``: the coarsest tactical
     decomposition of the family that refines ``pair`` coordinatewise."""
     _check_shape(family, pair)
-    ca, cb = tactical_fixpoint_colorings(
-        *_tactical_engines(family), pair.row_part.coloring, pair.col_part.coloring
-    )
-    return PartitionPair(
-        Partition._from_canonical(ca), Partition._from_canonical(cb)
-    )
+    joined = _square_fixpoint(family.block_engine(), pair.joined())
+    return PartitionPair._from_joined(joined, family.rows)
 
 
 def tactical_cir_chain(family: MatrixFamily, pair: PartitionPair) -> list:
     """Step-by-step tactical refinement from ``pair`` to its fixed point."""
     _check_shape(family, pair)
-    chain = [(pair.row_part.coloring, pair.col_part.coloring)]
-    tactical_fixpoint_colorings(
-        *_tactical_engines(family),
-        pair.row_part.coloring,
-        pair.col_part.coloring,
-        on_step=lambda a, b: chain.append(
-            (canonical_coloring(a), canonical_coloring(b))
+    chain = [pair]
+    _square_fixpoint(
+        family.block_engine(),
+        pair.joined(),
+        lambda c: chain.append(
+            PartitionPair._from_joined(canonical_coloring(c), family.rows)
         ),
     )
-    return [
-        PartitionPair(Partition._from_canonical(a), Partition._from_canonical(b))
-        for a, b in chain
-    ]
+    return chain
 
 
-def _tactical_engines(family: MatrixFamily) -> tuple:
-    return family.engine(), family.transposed().engine()
+def _is_stable(engine: tuple, coloring: Sequence[int]) -> bool:
+    col, classes = _start_state(coloring)
+    _, changed = _split_pass(engine, classes, col)
+    return not changed
 
 
 def _check_square(family: MatrixFamily, part: Partition) -> None:

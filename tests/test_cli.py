@@ -269,9 +269,8 @@ ONE_PATH_CASES = [
     ("matrices", "path4.json", ["lattice"]),
     ("matrices", "rect.json", ["tactical"]),
     ("matrices", "bad_float.json", ["lattice"]),
-    # fano.json is read as a family above, not as an incidence: the tactical
-    # oracle would scan 877 x 877 pairs, which takes minutes
     ("incidence", "k13.json", ["tactical"]),
+    ("incidence", "fano.json", ["tactical"]),
     ("network", "balex2.json", ["balanced", "exo-balanced"]),
     ("network", "forpath.json", ["balanced", "exo-balanced"]),
     ("adjacency", "path4.json", ["equitable", "almost-equitable"]),

@@ -20,6 +20,7 @@ from synclat import (
     cycle_graph,
     equitable_partitions,
     exo_balanced_partitions,
+    filter_below,
     graph_incidence,
     grid_graph,
     incidence_family,
@@ -154,6 +155,35 @@ def test_cell_types_to_loops_preserves_balanced_random():
             balanced_partitions(net).elements
             == balanced_partitions(looped).elements
         )
+
+
+def test_balanced_search_below_cell_types_keeps_the_down_set():
+    # the search from cir(cell types) finds exactly the down-set of the whole
+    # lattice, with the same cover edges, while refining fewer splits
+    import warnings
+
+    rng = random.Random(4)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        mats = [
+            [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+            for _ in range(rng.randint(1, 2))
+        ]
+        labels = [1] + [rng.randint(1, 3) for _ in range(n - 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NetworkConsistencyWarning)
+            net = network_from_adjacencies(mats, cell_types=Partition(labels))
+        adjacency = monochrome_adjacency(net)
+        laplacians = MatrixFamily([laplacian(m) for m in adjacency.matrices])
+        for below, family in (
+            (balanced_partitions(net), adjacency),
+            (exo_balanced_partitions(net), laplacians),
+        ):
+            whole = invariant_lattice(family)
+            kept = filter_below(whole, net.cell_types)
+            assert below.elements == kept.elements
+            assert below.cover_edges == kept.cover_edges
+            assert below.stats.splits_examined <= whole.stats.splits_examined
 
 
 def test_loops_on_single_type_are_harmless():

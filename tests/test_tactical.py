@@ -6,12 +6,16 @@ from synclat import (
     MatrixFamily,
     Partition,
     PartitionPair,
+    RationalMatrix,
+    all_partitions,
     brute_tactical_set,
     characteristic_matrix,
     column_space_contains,
     directed_containment,
+    filter_below,
     graph_incidence,
     hasse_edges,
+    invariant_lattice,
     is_invariant,
     is_tactical,
     matmul,
@@ -189,23 +193,94 @@ def test_tactical_lattice_workers_agree(fixture, request):
             assert getattr(other.stats, field) == getattr(runs[0].stats, field)
     assert runs[0].stats.visited_exact
     assert runs[1].stats.visited_partitions is None
+    assert runs[1].stats.queue_peak is None
 
 
-def test_tactical_lattice_petersen_pooled():
+def petersen_incidence():
     outer = [(i, i % 5 + 1) for i in range(1, 6)]
     spokes = [(i, i + 5) for i in range(1, 6)]
     inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
-    family = MatrixFamily([graph_incidence(10, outer + spokes + inner)])
+    return MatrixFamily([graph_incidence(10, outer + spokes + inner)])
+
+
+def test_tactical_lattice_petersen_pooled():
+    family = petersen_incidence()
     seq = tactical_lattice(family)
     par = tactical_lattice(family, workers=2)
     assert (len(seq), len(seq.cover_edges)) == (134, 407)
     assert par.elements == seq.elements
     assert par.cover_edges == seq.cover_edges
+    # the work of the sequential search, pinned
+    stats = seq.stats
+    assert (stats.cir_calls, stats.splits_examined, stats.popped) == (40057, 40056, 134)
+    assert (stats.visited_partitions, stats.queue_peak) == (145816, 133)
+
+
+def test_tactical_lattice_petersen_pooled_json_is_reproducible():
+    # pooled stats hold nothing that depends on scheduling
+    family = petersen_incidence()
+    first = tactical_lattice(family, workers=2).to_json_dict()
+    assert first["stats"]["queue_peak"] is None
+    assert tactical_lattice(family, workers=2).to_json_dict() == first
+
+
+def block_matrix(m):
+    """The square matrix [[0, M], [M^T, 0]] on the rows, then the columns."""
+    rows, cols = m.rows, m.cols
+    top = [[0] * rows + list(row) for row in m.entries]
+    bottom = [[m.entries[i][j] for i in range(rows)] + [0] * cols for j in range(cols)]
+    return RationalMatrix(top + bottom)
+
+
+def test_tactical_lattice_is_the_block_lattice_below_the_side_split():
+    # a pair is tactical exactly when its joined coloring is invariant under
+    # the block family; such colorings are the ones below {rows | columns}
+    rng = random.Random(7)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        fam = rand_rect_family(rng, m, n)
+        block = MatrixFamily([block_matrix(mat) for mat in fam.matrices])
+        split = Partition([1] * m + [2] * n)
+        below = filter_below(invariant_lattice(block), split)
+        pairs = tuple(
+            PartitionPair(Partition(e.coloring[:m]), Partition(e.coloring[m:]))
+            for e in below.elements
+        )
+        lat = tactical_lattice(fam)
+        assert lat.elements == pairs
+        assert lat.cover_edges == below.cover_edges
+        for pair_ in pairs:
+            assert Partition(pair_.joined()) in below
 
 
 def test_tactical_lattice_1x1():
     lat = tactical_lattice(MatrixFamily([[[1]]]))
     assert [p.bar() for p in lat.elements] == ["(1, 1)"]
+
+
+def tactical_by_definition(family):
+    """All tactical pairs by the double scan over the definition: column-space
+    containment of both sides' products, pair by pair."""
+    transposes = [transpose(mat) for mat in family.matrices]
+    rows = [(a, characteristic_matrix(a)) for a in all_partitions(family.rows)]
+    out = set()
+    for b in all_partitions(family.cols):
+        pb = characteristic_matrix(b)
+        products = [matmul(mat, pb) for mat in family.matrices]
+        for a, pa in rows:
+            if all(column_space_contains(pa, q) for q in products) and all(
+                column_space_contains(pb, matmul(mt, pa)) for mt in transposes
+            ):
+                out.add(PartitionPair(a, b))
+    return out
+
+
+def test_brute_tactical_set_matches_the_definition():
+    rng = random.Random(8)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        fam = rand_rect_family(rng, m, n)
+        assert brute_tactical_set(fam) == tactical_by_definition(fam)
 
 
 def test_tactical_lattice_matches_brute_force():
