@@ -20,10 +20,12 @@ from that start.  Canonical joined colorings number the row classes first,
 so their order is the order of (row, column) pairs.
 
 The splits of an element are cut into tasks ``(element, class color, mask
-lo, mask hi)``.  With one worker the tasks run inline, in queue order; with
-more they run in a process pool, submitted as soon as their element is
-found.  Results are set-valued and order-independent, so the output is
-identical for any worker count.
+lo, mask hi)``.  The search walks the lattice level by level, each level in
+order of discovery, which is the order a FIFO queue pops elements in.  All
+tasks of a level go to one ``map``: the builtin one with one worker, the
+process pool's with more.  Both return results in task order, so the
+elements, the cover edges and every stat but the inline-only ones
+(``visited_*`` and ``queue_peak``) are the same for any worker count.
 
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice, so covers are not inherited from the ambient lattice.
@@ -37,17 +39,18 @@ anyway.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from itertools import groupby
+from functools import cached_property, partial
+from itertools import chain, groupby, islice
 from typing import Iterable, Optional, Sequence, Union
 
 from .partition import Partition, PartitionPair, _split_labels, canonical_coloring
 from .refine import MatrixFamily, _square_fixpoint
 
 _TASK_CHUNK = 4096  # cover masks per worker task
+_VISITED_CAP = 2 * 10**6  # distinct partitions tracked before visited_exact drops
 
 Element = Union[Partition, PartitionPair]
 
@@ -71,14 +74,15 @@ class LatticeStats:
     the whole run: the start partition, every split candidate, and every
     intermediate step of every refinement chain (pairs of partitions for a
     tactical lattice).  It is collected exactly in every ``workers == 1``
-    run, square or tactical (up to ``visited_cap``, after which
-    ``visited_exact`` drops to False); multi-worker runs report None since
+    run, square or tactical, up to 2·10^6 partitions, after which
+    ``visited_exact`` drops to False; multi-worker runs report None since
     unioning the per-worker sets would dwarf the actual computation.
 
-    ``queue_peak`` is the longest the element queue grew in a
-    ``workers == 1`` run; multi-worker runs report None, because their
-    outstanding work depends on scheduling (elements and cover edges never
-    do).
+    ``queue_peak`` is the longest a FIFO element queue would grow in a
+    ``workers == 1`` run: the elements of the current level not yet read
+    plus those found for the next.  Multi-worker runs report None, because
+    the pool holds every task of a level at once, which that count does not
+    describe.
 
     The counts describe the search that ran: for balanced and exo-balanced
     partitions, the search below the cell types, not the whole lattice.
@@ -183,7 +187,6 @@ def invariant_lattice(
     *,
     workers: int = 1,
     element_cap: int = 10**6,
-    visited_cap: int = 2 * 10**6,
 ) -> InvariantLattice:
     """All partitions invariant under every matrix of the square family.
 
@@ -198,7 +201,6 @@ def invariant_lattice(
         Partition.singleton(family.cols),
         workers=workers,
         element_cap=element_cap,
-        visited_cap=visited_cap,
     )
 
 
@@ -219,7 +221,6 @@ def tactical_lattice(
     family: MatrixFamily,
     *,
     element_cap: int = 10**6,
-    visited_cap: int = 2 * 10**6,
     workers: int = 1,
 ) -> InvariantLattice:
     """All tactical decompositions of a (possibly rectangular) family.
@@ -235,102 +236,68 @@ def tactical_lattice(
         (1,) * m + (2,) * n,
         workers=workers,
         element_cap=element_cap,
-        visited_cap=visited_cap,
     )
     elements = tuple(PartitionPair._from_joined(c, m) for c in found)
     return InvariantLattice(elements, edges, stats)
 
 
 def _search(
-    engine: tuple,
-    start: tuple,
-    *,
-    workers: int = 1,
-    element_cap: int = 10**6,
-    visited_cap: int = 2 * 10**6,
+    engine: tuple, start: tuple, *, workers: int = 1, element_cap: int = 10**6
 ) -> tuple:
     """Split and cir from cir(start), for a canonical start coloring; returns
     the sorted canonical colorings of the elements, the stats and the cover
     edges as sorted (coarser, finer) index pairs into the elements.
 
-    The lower covers of a popped element are the maxima of the fixpoints of
-    all its splits, taken once the last of its tasks has returned.
+    The walk goes level by level: all tasks of a level go to one ``map``
+    (builtin and lazy inline, the pool's otherwise) and come back in task
+    order, so each element's results are read in turn and its lower covers
+    are the maxima of its fixpoints once its last task has been read.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    visited = _VisitedSet(visited_cap, len(start)) if workers == 1 else None
+    visited = _VisitedSet(_VISITED_CAP, len(start)) if workers == 1 else None
     top = _fixpoint(engine, start, visited)
     seen = {top: top}  # the one stored instance of each element
     covers = []  # (coarser, finer) pairs of instances stored in seen
     splits = 0
-    popped = 0
-
-    def discover(batch) -> list:
-        fresh = [e for e in batch if e not in seen]
-        for element in fresh:
-            seen[element] = element
-            if len(seen) > element_cap:
-                raise ElementCapExceeded(len(seen), element_cap)
-        return fresh
-
-    def expand(element: tuple) -> list:
-        nonlocal splits, popped
-        popped += 1
-        tasks = list(_split_tasks(element))
-        splits += sum(hi - lo for *_, lo, hi in tasks)
-        return tasks
-
+    queue_peak = 1
+    pool = None
     if workers == 1:
-        queue = deque([top])
-        queue_peak = 1
-        while queue:
-            element = queue.popleft()
-            below: dict = {}
-            for task in expand(element):
-                found = _run_task(engine, task, visited)
-                below.update(found)
-                queue.extend(discover(found))
-                queue_peak = max(queue_peak, len(queue))
-            covers.extend((element, seen[cover]) for cover in _maxima(below))
+        run = partial(map, partial(_run_task, engine, visited=visited))
     else:
-        queue_peak = None
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(engine,)
         )
-        pending: dict = {}  # future -> the element it splits
-        open_elements: dict = {}  # element -> [tasks outstanding, fixpoints so far]
-
-        def submit(element: tuple) -> None:
-            tasks = expand(element)
-            if tasks:
-                open_elements[element] = [len(tasks), {}]
-            for task in tasks:
-                pending[pool.submit(_pool_run_task, task)] = element
-
-        try:
-            submit(top)
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    element = pending.pop(fut)
-                    found = fut.result()
-                    for fresh in discover(found):
-                        submit(fresh)
-                    entry = open_elements[element]
-                    entry[0] -= 1
-                    entry[1].update(found)
-                    if not entry[0]:
-                        del open_elements[element]
-                        covers.extend(
-                            (element, seen[cover]) for cover in _maxima(entry[1])
-                        )
-        finally:
+        run = partial(pool.map, _pool_run_task)
+    try:
+        level = [top]
+        while level:
+            tasks = [list(_split_tasks(element)) for element in level]
+            results = run(chain.from_iterable(tasks))
+            fresh: list = []  # the next level, in order of discovery
+            for i, (element, element_tasks) in enumerate(zip(level, tasks)):
+                splits += sum(hi - lo for *_, lo, hi in element_tasks)
+                below: dict = {}
+                for found in islice(results, len(element_tasks)):
+                    below.update(found)
+                    for fixpoint in found:
+                        if fixpoint not in seen:
+                            seen[fixpoint] = fixpoint
+                            fresh.append(fixpoint)
+                            if len(seen) > element_cap:
+                                raise ElementCapExceeded(len(seen), element_cap)
+                    # a FIFO queue would hold the rest of this level and fresh
+                    queue_peak = max(queue_peak, len(level) - 1 - i + len(fresh))
+                covers.extend((element, seen[cover]) for cover in _maxima(below))
+            level = fresh
+    finally:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
     stats = LatticeStats(
         cir_calls=1 + splits,
         splits_examined=splits,
-        queue_peak=queue_peak,
-        popped=popped,
+        queue_peak=queue_peak if pool is None else None,
+        popped=len(seen),  # every element found is expanded once
         visited_partitions=len(visited.items) if visited is not None else None,
         visited_exact=visited is not None and visited.exact,
     )

@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 import time
 
@@ -194,6 +195,32 @@ def test_element_cap():
     with pytest.raises(ElementCapExceeded) as info:
         tactical_lattice(MatrixFamily([zeros(3, 3)]), element_cap=10, workers=2)
     assert info.value.count == 11
+
+
+def test_pooled_cap_abort_leaves_no_workers():
+    # the pool is shut down and joined even when the cap ends the search
+    with pytest.raises(ElementCapExceeded):
+        invariant_lattice(MatrixFamily([zeros(5, 5)]), element_cap=10, workers=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ElementCapExceeded):
+        tactical_lattice(MatrixFamily([zeros(3, 3)]), element_cap=10, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_complete_graph_k8_matches_inline():
+    # 4140 elements: a pooled search must not slow down with the number of
+    # outstanding tasks
+    fam = MatrixFamily([complete_graph(8)])
+    inline = invariant_lattice(fam)
+    t0 = time.monotonic()
+    pooled = invariant_lattice(fam, workers=2)
+    elapsed = time.monotonic() - t0
+    assert len(pooled) == bell_number(8) == 4140
+    assert pooled.elements == inline.elements
+    assert pooled.cover_edges == inline.cover_edges
+    for field in ("cir_calls", "splits_examined", "popped"):
+        assert getattr(pooled.stats, field) == getattr(inline.stats, field)
+    assert elapsed < 15.0
 
 
 def test_rectangular_family_rejected():
