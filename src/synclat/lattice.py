@@ -2,13 +2,13 @@
 decompositions) of a matrix family, by split and cir.
 
 One search serves both.  It starts from the refinement fixpoint (cir) of a
-start coloring, then repeatedly pops an element, forms every lower cover by
-splitting one class in two, and runs cir on each cover.  Every fixpoint is
-invariant, and a seen-set of elements ensures each is expanded at most once.
-Every invariant element below a popped one is reachable through some cover,
-so the search finds exactly the invariant partitions below cir(start): with
-the one-class start, all of them; with the cell types of a network, its
-balanced partitions.
+start coloring, then repeatedly pops an element, splits one class in two in
+each way that can witness a lower cover (see below), and runs cir on each
+split.  Every fixpoint is invariant, and a seen-set of elements ensures each
+is expanded at most once.  Every invariant element below a popped one is
+reachable through some cover, so the search finds exactly the invariant
+partitions below cir(start): with the one-class start, all of them; with
+the cell types of a network, its balanced partitions.
 
 A tactical decomposition (A, B) of a rectangular family is one coloring of
 the rows followed by the columns: it is tactical exactly when that joined
@@ -19,22 +19,43 @@ on one side, so the tactical lattice is the same search on the block engine
 from that start.  Canonical joined colorings number the row classes first,
 so their order is the order of (row, column) pairs.
 
-The splits of an element are cut into tasks ``(element, class color, mask
-lo, mask hi)``.  The search walks the lattice level by level, each level in
-order of discovery, which is the order a FIFO queue pops elements in.  All
-tasks of a level go to one ``map``: the builtin one with one worker, the
-process pool's with more.  Both return results in task order, so the
-elements, the cover edges and every stat but the inline-only ones
-(``visited_*`` and ``queue_peak``) are the same for any worker count.
+Each element is one task.  The search walks the lattice level by level,
+each level in order of discovery, which is the order a FIFO queue pops
+elements in.  All tasks of a level go to one ``map``: the builtin one with
+one worker, the process pool's with more.  Both return results in task
+order, so the elements, the cover edges and every stat but the inline-only
+ones (``visited_*`` and ``queue_peak``) are the same for any worker count.
 
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice, so covers are not inherited from the ambient lattice.
 They come from the search instead.  Let L be a lower cover of an element E.
-L splits some class of E; split that class in two along a union of L's
-classes.  The cir of that start lies between L and E and is strictly below
-E, so it is L.  Hence the lower covers of E are exactly the maximal elements
-among the cir results of E's one-class splits, which the search computes
-anyway.
+L splits some class X of E; let x0 be the smallest member of X and S the
+class of L that holds x0, so S is not all of X.  Split X into S and X minus
+S; call that start Q.  L refines Q, so L <= cir(Q) <= Q < E, and cir(Q) = L.
+So every lower cover is the cir of a split of one class X into some S that
+holds x0 and the rest, and two conditions single out the splits that can
+give one:
+
+* Filter.  S is a class of the invariant L, so under each matrix every i in
+  S gets the same in-weight from S: the packed sum over j in S of W_ij (see
+  :func:`synclat.refine._pack`, an exact encoding) is one integer for all i
+  in S.  Only such S are refined.
+* Guard.  Every step P of the refinement chain from Q satisfies
+  L <= P <= Q, so S stays one class of every step.  A chain whose step
+  splits S is abandoned and its result dropped.
+
+Nothing is lost.  Every lower cover of E is still found, from its own S, and
+every kept result is strictly below E and so below some lower cover; the
+lower covers of E are therefore exactly the maximal elements among its kept
+results.  Every element is reached from the top through covers, so the
+elements are the same too.  The S that pass the filter are found by lazy
+backtracking over X in breadth-first order from x0: a member of S is checked
+once it and all its in-neighbours in X are decided.  When the weights inside
+X are uniform (one diagonal value d, and either no off-diagonal weight or one
+value w on every off-diagonal pair), each i in S gets d + (|S| - 1)w, every S
+passes, and the splits are the plain masks without checks.  That holds for
+every class of K_n, and for every class of a tactical search, since a block
+class lies on one side and gets no weight from its own side.
 """
 
 from __future__ import annotations
@@ -43,13 +64,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import chain, groupby, islice
-from typing import Iterable, Optional, Sequence, Union
+from itertools import groupby, repeat
+from typing import Iterable, Iterator, Optional, Union
 
-from .partition import Partition, PartitionPair, _split_labels, canonical_coloring
-from .refine import MatrixFamily, _square_fixpoint
+from .partition import Partition, PartitionPair, canonical_coloring
+from .refine import MatrixFamily, _square_fixpoint, _start_state
 
-_TASK_CHUNK = 4096  # cover masks per worker task
 _VISITED_CAP = 2 * 10**6  # distinct partitions tracked before visited_exact drops
 
 Element = Union[Partition, PartitionPair]
@@ -71,8 +91,9 @@ class LatticeStats:
     """Instrumentation collected during enumeration.
 
     ``visited_partitions`` counts the distinct partitions materialized during
-    the whole run: the start partition, every split candidate, and every
-    intermediate step of every refinement chain (pairs of partitions for a
+    the whole run: the start partition, every split that was refined, and
+    every intermediate step of every refinement chain up to the step that
+    splits its witness, which is not recorded (pairs of partitions for a
     tactical lattice).  It is collected exactly in every ``workers == 1``
     run, square or tactical, up to 2·10^6 partitions, after which
     ``visited_exact`` drops to False; multi-worker runs report None since
@@ -84,12 +105,18 @@ class LatticeStats:
     the pool holds every task of a level at once, which that count does not
     describe.
 
+    ``splits_examined`` counts the one-class splits that were refined and
+    ``splits_pruned`` those the in-weight filter skipped (see the module
+    docstring); together they are the sum of 2^(s-1) - 1 over the classes
+    of every element.  ``cir_calls`` is ``splits_examined`` plus the top.
+
     The counts describe the search that ran: for balanced and exo-balanced
     partitions, the search below the cell types, not the whole lattice.
     """
 
     cir_calls: int = 0
     splits_examined: int = 0
+    splits_pruned: int = 0
     queue_peak: Optional[int] = 0
     popped: int = 0
     visited_partitions: Optional[int] = None
@@ -248,18 +275,18 @@ def _search(
     the sorted canonical colorings of the elements, the stats and the cover
     edges as sorted (coarser, finer) index pairs into the elements.
 
-    The walk goes level by level: all tasks of a level go to one ``map``
-    (builtin and lazy inline, the pool's otherwise) and come back in task
-    order, so each element's results are read in turn and its lower covers
-    are the maxima of its fixpoints once its last task has been read.
+    The walk goes level by level: the elements of a level go to one ``map``
+    (builtin and lazy inline, the pool's otherwise) and their results come
+    back in order, so each element's lower covers are the maxima of its kept
+    fixpoints.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     visited = _VisitedSet(_VISITED_CAP, len(start)) if workers == 1 else None
-    top = _fixpoint(engine, start, visited)
+    top = _fixpoint(engine, *_start_state(start), visited)
     seen = {top: top}  # the one stored instance of each element
     covers = []  # (coarser, finer) pairs of instances stored in seen
-    splits = 0
+    splits = pruned = 0
     queue_peak = 1
     pool = None
     if workers == 1:
@@ -272,23 +299,20 @@ def _search(
     try:
         level = [top]
         while level:
-            tasks = [list(_split_tasks(element)) for element in level]
-            results = run(chain.from_iterable(tasks))
             fresh: list = []  # the next level, in order of discovery
-            for i, (element, element_tasks) in enumerate(zip(level, tasks)):
-                splits += sum(hi - lo for *_, lo, hi in element_tasks)
-                below: dict = {}
-                for found in islice(results, len(element_tasks)):
-                    below.update(found)
-                    for fixpoint in found:
-                        if fixpoint not in seen:
-                            seen[fixpoint] = fixpoint
-                            fresh.append(fixpoint)
-                            if len(seen) > element_cap:
-                                raise ElementCapExceeded(len(seen), element_cap)
-                    # a FIFO queue would hold the rest of this level and fresh
-                    queue_peak = max(queue_peak, len(level) - 1 - i + len(fresh))
-                covers.extend((element, seen[cover]) for cover in _maxima(below))
+            for i, (element, (found, examined)) in enumerate(zip(level, run(level))):
+                splits += examined
+                sizes = Counter(element).values()
+                pruned += sum((1 << (size - 1)) - 1 for size in sizes) - examined
+                for fixpoint in found:
+                    if fixpoint not in seen:
+                        seen[fixpoint] = fixpoint
+                        fresh.append(fixpoint)
+                        if len(seen) > element_cap:
+                            raise ElementCapExceeded(len(seen), element_cap)
+                # a FIFO queue would hold the rest of this level and fresh
+                queue_peak = max(queue_peak, len(level) - 1 - i + len(fresh))
+                covers.extend((element, seen[cover]) for cover in _maxima(found))
             level = fresh
     finally:
         if pool is not None:
@@ -296,6 +320,7 @@ def _search(
     stats = LatticeStats(
         cir_calls=1 + splits,
         splits_examined=splits,
+        splits_pruned=pruned,
         queue_peak=queue_peak if pool is None else None,
         popped=len(seen),  # every element found is expanded once
         visited_partitions=len(visited.items) if visited is not None else None,
@@ -325,40 +350,125 @@ def _refines(fine: tuple, coarse: tuple) -> bool:
     return len(set(zip(fine, coarse))) == max(fine)
 
 
-def _split_tasks(element: tuple) -> Iterable[tuple]:
-    """``(element, class color, mask lo, mask hi)`` ranges covering every
-    one-class split, in ``_TASK_CHUNK`` masks each."""
-    for color, size in Counter(element).items():
-        end = 1 << (size - 1)
-        for lo in range(1, end, _TASK_CHUNK):
-            yield (element, color, lo, min(lo + _TASK_CHUNK, end))
-
-
 def _run_task(
-    engine: tuple, task: tuple, visited: Optional[_VisitedSet] = None
-) -> dict:
-    """Refine every split of one task; returns the distinct fixpoints in
-    order of first appearance."""
-    element, color, lo, hi = task
+    engine: tuple, element: tuple, visited: Optional[_VisitedSet] = None
+) -> tuple:
+    """Refine the splits of one element that can witness a lower cover;
+    returns the fixpoints of the chains that kept their witness, in order of
+    first appearance, and the number of splits refined.
+
+    Each split starts from a copy of the element's working state: its class
+    X becomes the witness S, which holds X's smallest member, and the fresh
+    class X minus S.
+    """
+    col, classes = _start_state(element)
+    fresh = len(classes)
     found: dict = {}
-    for labels in _split_labels(element, color, lo, hi):
-        if visited is not None:
-            # visited keys are canonical
-            labels = canonical_coloring(labels)
-        found[_fixpoint(engine, labels, visited)] = None
-    return found
+    examined = 0
+    for color, members in enumerate(classes):
+        if len(members) < 2:
+            continue
+        for inside, outside in _witnesses(engine, col, members):
+            examined += 1
+            split_col = col.copy()
+            for i in outside:
+                split_col[i] = fresh
+            split_classes = classes.copy()
+            split_classes[color] = inside
+            split_classes.append(outside)
+            fixpoint = _fixpoint(
+                engine, split_col, split_classes, visited, (members[0], len(inside))
+            )
+            if fixpoint is not None:
+                found[fixpoint] = None
+    return found, examined
+
+
+def _witnesses(engine: tuple, col: list, members: list) -> Iterator[tuple]:
+    """The splits ``(S, X minus S)`` of the class X = ``members`` (sorted,
+    0-based working labels ``col``) that pass the filter of the module
+    docstring: x0 = ``members[0]`` in S, S != X, and every i in S getting
+    the same packed in-weight sum_{j in S} W_ij.
+
+    A class with uniform weights yields the masks 1..2^(s-1)-1 in order:
+    bit t moves the (t+1)-th member after x0 out of S.  Any other class is
+    searched by lazy backtracking in breadth-first order from x0 along
+    in-weights.
+    """
+    rows, _, ones = engine
+    size = len(members)
+    inner = {}  # i -> [(j, W_ij)] for j in X
+    diagonal, off = set(), []
+    for i in members:
+        row = zip(rows[i], repeat(1)) if ones else rows[i]
+        inner[i] = weights = [(j, w) for j, w in row if col[j] == col[i]]
+        diagonal.add(dict(weights).get(i, 0))
+        off += [w for j, w in weights if j != i]
+    if len(diagonal) == 1 and (
+        not off or (len(off) == size * (size - 1) and len(set(off)) == 1)
+    ):
+        x0, rest = members[0], members[1:]
+        for mask in range(1, 1 << (size - 1)):
+            inside, outside = [x0], []
+            for i in rest:
+                (outside if mask & 1 else inside).append(i)
+                mask >>= 1
+            yield inside, outside
+        return
+    order, head = [], 0  # breadth-first along in-weights, component by component
+    for root in members:
+        if root not in order:
+            order.append(root)
+        while head < len(order):
+            order += [j for j, _ in inner[order[head]] if j not in order]
+            head += 1
+    depth_of = {i: d for d, i in enumerate(order)}
+    # ready[d]: the members whose in-weight from S is known at depth d
+    ready: list = [[] for _ in order]
+    for i in members:
+        ready[max([depth_of[i]] + [depth_of[j] for j, _ in inner[i]])].append(i)
+    in_s = dict.fromkeys(members, False)
+
+    def extend(depth: int, target: Optional[int]) -> Iterator[tuple]:
+        if depth == size:
+            inside = [i for i in members if in_s[i]]
+            if len(inside) < size:
+                yield inside, [i for i in members if not in_s[i]]
+            return
+        i = order[depth]
+        for take in (True, False) if depth else (True,):
+            in_s[i] = take
+            value = target
+            for k in ready[depth]:
+                if in_s[k]:
+                    weight = sum(w for j, w in inner[k] if in_s[j])
+                    if value is None:
+                        value = weight
+                    elif weight != value:
+                        break
+            else:
+                yield from extend(depth + 1, value)
+        in_s[i] = False
+
+    yield from extend(0, None)
 
 
 def _fixpoint(
-    engine: tuple, start: Sequence[int], visited: Optional[_VisitedSet] = None
-) -> tuple:
-    """cir of a 1-based start labeling, as a canonical coloring.  ``visited``
-    gets the start, which must then be canonical, and every refinement
-    step."""
+    engine: tuple,
+    col: list,
+    classes: list,
+    visited: Optional[_VisitedSet] = None,
+    witness: Optional[tuple] = None,
+) -> Optional[tuple]:
+    """cir of the working state ``(col, classes)``, as a canonical coloring,
+    or None once the ``witness`` class splits (see
+    :func:`synclat.refine._square_fixpoint`).  ``visited`` gets the start
+    and every refinement step."""
     if visited is None:
-        return _square_fixpoint(engine, start)
+        return _square_fixpoint(engine, col, classes, None, witness)
+    start = canonical_coloring(col)
     visited.add(start)
-    return _square_fixpoint(engine, start, visited.record)
+    return _square_fixpoint(engine, col, classes, visited.record, witness, start)
 
 
 # Pool workers receive the engine once, through the initializer, instead of
@@ -371,8 +481,8 @@ def _pool_init(engine: tuple) -> None:
     _WORKER_ENGINE = engine
 
 
-def _pool_run_task(task: tuple) -> dict:
-    return _run_task(_WORKER_ENGINE, task)
+def _pool_run_task(element: tuple) -> tuple:
+    return _run_task(_WORKER_ENGINE, element)
 
 
 def filter_below(lattice: InvariantLattice, top: Partition) -> InvariantLattice:

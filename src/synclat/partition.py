@@ -222,34 +222,25 @@ def _parse_element(tok: str, n: int) -> int:
 
 
 def iter_cover_colorings(coloring: Sequence[int]) -> Iterator[tuple]:
-    """Canonical colorings of all one-class splits of a canonical coloring."""
-    # a canonical coloring numbers its classes in order of first occurrence
-    for color, size in Counter(coloring).items():
-        for labels in _split_labels(coloring, color, 1, 1 << (size - 1)):
-            yield canonical_coloring(labels)
+    """Canonical colorings of all one-class splits of a canonical coloring.
 
-
-def _split_labels(
-    coloring: Sequence[int], color: int, lo: int, hi: int
-) -> Iterator[list]:
-    """Labelings of the splits of class ``color`` for masks ``lo..hi-1``.
-
-    The smallest member of the class keeps ``color`` and mask bit t moves the
-    (t+1)-th other member to the fresh class ``max(coloring) + 1``.  Masks
-    ``1..2**(s-1)-1`` of a class of size s give each unordered bipartition
-    exactly once.  The labelings are 1-based but not canonical.
+    For each class, its smallest member keeps its color and mask bit t moves
+    the (t+1)-th other member to a fresh class; masks 1..2**(s-1)-1 of a
+    class of size s give each unordered bipartition exactly once.
     """
-    rest = [i for i, c in enumerate(coloring) if c == color][1:]
-    fresh = max(coloring) + 1
-    for mask in range(lo, hi):
-        labels = list(coloring)
-        t = 0
-        while mask:
-            if mask & 1:
-                labels[rest[t]] = fresh
-            mask >>= 1
-            t += 1
-        yield labels
+    # a canonical coloring numbers its classes in order of first occurrence
+    for color in Counter(coloring):
+        rest = [i for i, c in enumerate(coloring) if c == color][1:]
+        fresh = max(coloring) + 1
+        for mask in range(1, 1 << len(rest)):
+            labels = list(coloring)
+            t = 0
+            while mask:
+                if mask & 1:
+                    labels[rest[t]] = fresh
+                mask >>= 1
+                t += 1
+            yield canonical_coloring(labels)
 
 
 def induced_partition(matrix: RationalMatrix) -> Partition:

@@ -239,36 +239,49 @@ def _start_state(coloring: Sequence[int]) -> tuple:
 
 def _square_fixpoint(
     engine: tuple,
-    coloring: Sequence[int],
+    col: list,
+    classes: list,
     on_step: Optional[Callable[[list], None]] = None,
-) -> tuple:
-    """Refine a 1-based coloring to its fixed point and return that as a
-    canonical coloring; ``on_step`` gets the working labels after each
-    strict step."""
-    col, classes = _start_state(coloring)
+    witness: Optional[tuple] = None,
+    start: Optional[tuple] = None,
+) -> Optional[tuple]:
+    """Refine the working state ``(col, classes)`` of a coloring, with ``col``
+    updated in place, and return the fixed point as a canonical coloring;
+    ``start``, the start's canonical coloring when the caller has it, is
+    returned if the first pass changes nothing.  ``on_step`` gets the working
+    labels after each strict step.
+
+    ``witness`` is a pair ``(x, size)`` naming a class of the start by one
+    member and its size; once a step splits that class, the refinement stops
+    and returns None.
+    """
     n = len(col)
-    for _ in range(n + 1):
+    for steps in range(n + 1):
         if len(classes) == n:
-            return canonical_coloring(col)
+            break
         classes, changed = _split_pass(engine, classes, col)
         if not changed:
-            return canonical_coloring(col)
+            break
         for label, members in enumerate(classes):
             for i in members:
                 col[i] = label
+        if witness is not None and len(classes[col[witness[0]]]) < witness[1]:
+            return None
         if on_step is not None:
             on_step(col)
-    raise AssertionError(
-        "refinement failed to stabilize within the ground-set size; "
-        "this indicates an internal invariant violation"
-    )
+    else:
+        raise AssertionError(
+            "refinement failed to stabilize within the ground-set size; "
+            "this indicates an internal invariant violation"
+        )
+    return start if steps == 0 and start is not None else canonical_coloring(col)
 
 
 def cir(family: MatrixFamily, start: Partition) -> Partition:
     """Coarsest invariant refinement: the unique coarsest partition that is
     invariant under every matrix of the family and refines ``start``."""
     _check_square(family, start)
-    fixpoint = _square_fixpoint(family.engine(), start.coloring)
+    fixpoint = _square_fixpoint(family.engine(), *_start_state(start.coloring))
     return Partition._from_canonical(fixpoint)
 
 
@@ -282,7 +295,7 @@ def cir_chain(family: MatrixFamily, start: Partition) -> list:
     chain = [start]
     _square_fixpoint(
         family.engine(),
-        start.coloring,
+        *_start_state(start.coloring),
         lambda c: chain.append(Partition._from_canonical(canonical_coloring(c))),
     )
     return chain
@@ -325,7 +338,7 @@ def tactical_cir(family: MatrixFamily, pair: PartitionPair) -> PartitionPair:
     """Coarsest tactical refinement below ``pair``: the coarsest tactical
     decomposition of the family that refines ``pair`` coordinatewise."""
     _check_shape(family, pair)
-    joined = _square_fixpoint(family.block_engine(), pair.joined())
+    joined = _square_fixpoint(family.block_engine(), *_start_state(pair.joined()))
     return PartitionPair._from_joined(joined, family.rows)
 
 
@@ -335,7 +348,7 @@ def tactical_cir_chain(family: MatrixFamily, pair: PartitionPair) -> list:
     chain = [pair]
     _square_fixpoint(
         family.block_engine(),
-        pair.joined(),
+        *_start_state(pair.joined()),
         lambda c: chain.append(
             PartitionPair._from_joined(canonical_coloring(c), family.rows)
         ),

@@ -213,7 +213,7 @@ def test_tactical_lattice_petersen_pooled():
     # the work of the sequential search, pinned
     stats = seq.stats
     assert (stats.cir_calls, stats.splits_examined, stats.popped) == (40057, 40056, 134)
-    assert (stats.visited_partitions, stats.queue_peak) == (145816, 133)
+    assert (stats.visited_partitions, stats.queue_peak) == (85138, 104)
 
 
 def test_tactical_lattice_petersen_pooled_json_is_reproducible():
