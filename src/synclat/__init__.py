@@ -40,7 +40,6 @@ from .networks import (
     star_graph,
     subgroup_coset_partitions,
     subgroups,
-    weighted_laplacian_network,
 )
 from .oracle import (
     all_partitions,
@@ -133,6 +132,5 @@ __all__ = [
     "tactical_cir_chain",
     "tactical_lattice",
     "transpose",
-    "weighted_laplacian_network",
     "zeros",
 ]

@@ -65,9 +65,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from itertools import groupby, repeat
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .partition import Partition, PartitionPair, canonical_coloring
+from .partition import Partition, PartitionPair
 from .refine import MatrixFamily, _square_fixpoint, _start_state
 
 _VISITED_CAP = 2 * 10**6  # distinct partitions tracked before visited_exact drops
@@ -90,14 +90,14 @@ class ElementCapExceeded(RuntimeError):
 class LatticeStats:
     """Instrumentation collected during enumeration.
 
-    ``visited_partitions`` counts the distinct partitions materialized during
-    the whole run: the start partition, every split that was refined, and
-    every intermediate step of every refinement chain up to the step that
-    splits its witness, which is not recorded (pairs of partitions for a
-    tactical lattice).  It is collected exactly in every ``workers == 1``
-    run, square or tactical, up to 2·10^6 partitions, after which
-    ``visited_exact`` drops to False; multi-worker runs report None since
-    unioning the per-worker sets would dwarf the actual computation.
+    ``visited_partitions`` counts the distinct partitions that the refinements
+    of the whole run report: the start of each (the search's start and every
+    split that was refined) and each strict step up to the step that splits
+    the witness, which is not reported (pairs of partitions for a tactical
+    lattice).  It is collected exactly in every ``workers == 1`` run, square
+    or tactical, up to 2·10^6 partitions, after which ``visited_exact`` drops
+    to False; multi-worker runs report None since unioning the per-worker
+    sets would dwarf the actual computation.
 
     ``queue_peak`` is the longest a FIFO element queue would grow in a
     ``workers == 1`` run: the elements of the current level not yet read
@@ -186,7 +186,9 @@ class InvariantLattice:
 
 
 class _VisitedSet:
-    """Distinct-partition tracker with a saturation cap."""
+    """Distinct-partition tracker with a saturation cap; :meth:`add` is the
+    ``on_step`` of :func:`synclat.refine._square_fixpoint`, which hands it
+    each start and step as a canonical coloring."""
 
     def __init__(self, cap: int, n: int):
         self.cap = cap
@@ -202,11 +204,6 @@ class _VisitedSet:
             self.items.add(bytes(coloring) if self.compact else coloring)
             if len(self.items) > self.cap:
                 self.exact = False
-
-    def record(self, labeling) -> None:
-        """Add the partition given by a labeling."""
-        if self.exact:
-            self.add(canonical_coloring(labeling))
 
 
 def invariant_lattice(
@@ -282,15 +279,18 @@ def _search(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if element_cap < 1:
+        raise ValueError("element_cap must be >= 1")
     visited = _VisitedSet(_VISITED_CAP, len(start)) if workers == 1 else None
-    top = _fixpoint(engine, *_start_state(start), visited)
+    on_step = visited.add if visited is not None else None
+    top = _square_fixpoint(engine, *_start_state(start), on_step)
     seen = {top: top}  # the one stored instance of each element
     covers = []  # (coarser, finer) pairs of instances stored in seen
     splits = pruned = 0
     queue_peak = 1
     pool = None
     if workers == 1:
-        run = partial(map, partial(_run_task, engine, visited=visited))
+        run = partial(map, partial(_run_task, engine, on_step=on_step))
     else:
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(engine,)
@@ -351,11 +351,12 @@ def _refines(fine: tuple, coarse: tuple) -> bool:
 
 
 def _run_task(
-    engine: tuple, element: tuple, visited: Optional[_VisitedSet] = None
+    engine: tuple, element: tuple, on_step: Optional[Callable[[tuple], None]] = None
 ) -> tuple:
     """Refine the splits of one element that can witness a lower cover;
     returns the fixpoints of the chains that kept their witness, in order of
-    first appearance, and the number of splits refined.
+    first appearance, and the number of splits refined.  ``on_step`` is
+    passed to every refinement.
 
     Each split starts from a copy of the element's working state: its class
     X becomes the witness S, which holds X's smallest member, and the fresh
@@ -376,8 +377,8 @@ def _run_task(
             split_classes = classes.copy()
             split_classes[color] = inside
             split_classes.append(outside)
-            fixpoint = _fixpoint(
-                engine, split_col, split_classes, visited, (members[0], len(inside))
+            fixpoint = _square_fixpoint(
+                engine, split_col, split_classes, on_step, (members[0], len(inside))
             )
             if fixpoint is not None:
                 found[fixpoint] = None
@@ -451,24 +452,6 @@ def _witnesses(engine: tuple, col: list, members: list) -> Iterator[tuple]:
         in_s[i] = False
 
     yield from extend(0, None)
-
-
-def _fixpoint(
-    engine: tuple,
-    col: list,
-    classes: list,
-    visited: Optional[_VisitedSet] = None,
-    witness: Optional[tuple] = None,
-) -> Optional[tuple]:
-    """cir of the working state ``(col, classes)``, as a canonical coloring,
-    or None once the ``witness`` class splits (see
-    :func:`synclat.refine._square_fixpoint`).  ``visited`` gets the start
-    and every refinement step."""
-    if visited is None:
-        return _square_fixpoint(engine, col, classes, None, witness)
-    start = canonical_coloring(col)
-    visited.add(start)
-    return _square_fixpoint(engine, col, classes, visited.record, witness, start)
 
 
 # Pool workers receive the engine once, through the initializer, instead of

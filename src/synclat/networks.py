@@ -164,7 +164,11 @@ def network_from_adjacencies(
 
 
 def laplacian(weights: RationalMatrix) -> RationalMatrix:
-    """L = D - W with D the diagonal of row sums; rows of L sum to zero."""
+    """L = D - W with D the diagonal of row sums; rows of L sum to zero.
+
+    L is the in-adjacency matrix of the Laplacian companion network, whose
+    balanced partitions are exactly the exo-balanced partitions of the
+    weighted network W."""
     if weights.rows != weights.cols:
         raise ValueError("laplacian needs a square matrix")
     out = []
@@ -172,13 +176,6 @@ def laplacian(weights: RationalMatrix) -> RationalMatrix:
         d = sum(row)
         out.append([(d if i == j else Fraction(0)) - x for j, x in enumerate(row)])
     return RationalMatrix(out)
-
-
-def weighted_laplacian_network(weights: RationalMatrix) -> RationalMatrix:
-    """In-adjacency matrix of the Laplacian companion network: the network
-    whose weights are L = D - W.  Its balanced partitions are exactly the
-    exo-balanced partitions of the original weighted network."""
-    return laplacian(weights)
 
 
 def cell_types_to_loops(net: ColoredNetwork) -> ColoredNetwork:

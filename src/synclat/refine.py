@@ -31,7 +31,8 @@ Families whose packed weights are all 1 (plain adjacency matrices) key short
 rows without a loop.
 Classes are refined bucket-by-bucket, so elements already isolated in
 singleton classes cost nothing, and colorings stay as plain integer lists
-until the final canonicalization.
+until :func:`_square_fixpoint` canonicalizes the result (and each step, when
+an observer asks for them).
 """
 
 from __future__ import annotations
@@ -241,22 +242,26 @@ def _square_fixpoint(
     engine: tuple,
     col: list,
     classes: list,
-    on_step: Optional[Callable[[list], None]] = None,
+    on_step: Optional[Callable[[tuple], None]] = None,
     witness: Optional[tuple] = None,
-    start: Optional[tuple] = None,
 ) -> Optional[tuple]:
     """Refine the working state ``(col, classes)`` of a coloring, with ``col``
-    updated in place, and return the fixed point as a canonical coloring;
-    ``start``, the start's canonical coloring when the caller has it, is
-    returned if the first pass changes nothing.  ``on_step`` gets the working
-    labels after each strict step.
+    updated in place, and return the fixed point as a canonical coloring.
+
+    ``on_step`` gets the canonical coloring of the start and of each strict
+    step, each computed once; the last one is the result, so a start that the
+    first pass leaves unchanged is returned as the tuple already reported.
 
     ``witness`` is a pair ``(x, size)`` naming a class of the start by one
     member and its size; once a step splits that class, the refinement stops
-    and returns None.
+    and returns None, and that step is not reported.
     """
     n = len(col)
-    for steps in range(n + 1):
+    last = None
+    if on_step is not None:
+        last = canonical_coloring(col)
+        on_step(last)
+    for _ in range(n + 1):
         if len(classes) == n:
             break
         classes, changed = _split_pass(engine, classes, col)
@@ -268,13 +273,14 @@ def _square_fixpoint(
         if witness is not None and len(classes[col[witness[0]]]) < witness[1]:
             return None
         if on_step is not None:
-            on_step(col)
+            last = canonical_coloring(col)
+            on_step(last)
     else:
         raise AssertionError(
             "refinement failed to stabilize within the ground-set size; "
             "this indicates an internal invariant violation"
         )
-    return start if steps == 0 and start is not None else canonical_coloring(col)
+    return canonical_coloring(col) if last is None else last
 
 
 def cir(family: MatrixFamily, start: Partition) -> Partition:
@@ -288,15 +294,15 @@ def cir(family: MatrixFamily, start: Partition) -> Partition:
 def cir_chain(family: MatrixFamily, start: Partition) -> list:
     """The refinement iteration from ``start`` down to its fixed point.
 
-    Element 0 is ``start`` itself, each following element is one strictly
+    Element 0 is ``start``, each following element is one strictly
     finer step, and the last element is ``cir(family, start)``.
     """
     _check_square(family, start)
-    chain = [start]
+    chain: list = []
     _square_fixpoint(
         family.engine(),
         *_start_state(start.coloring),
-        lambda c: chain.append(Partition._from_canonical(canonical_coloring(c))),
+        lambda c: chain.append(Partition._from_canonical(c)),
     )
     return chain
 
@@ -320,7 +326,7 @@ def directed_containment(
             f"family shape {family.rows}x{family.cols}"
         )
     _, classes = _start_state(row_part.coloring)
-    ncol = [c - 1 for c in col_part.coloring]
+    ncol, _ = _start_state(col_part.coloring)
     _, changed = _split_pass(family.engine(), classes, ncol)
     return not changed
 
@@ -345,13 +351,11 @@ def tactical_cir(family: MatrixFamily, pair: PartitionPair) -> PartitionPair:
 def tactical_cir_chain(family: MatrixFamily, pair: PartitionPair) -> list:
     """Step-by-step tactical refinement from ``pair`` to its fixed point."""
     _check_shape(family, pair)
-    chain = [pair]
+    chain: list = []
     _square_fixpoint(
         family.block_engine(),
         *_start_state(pair.joined()),
-        lambda c: chain.append(
-            PartitionPair._from_joined(canonical_coloring(c), family.rows)
-        ),
+        lambda c: chain.append(PartitionPair._from_joined(c, family.rows)),
     )
     return chain
 

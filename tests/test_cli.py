@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -207,6 +208,22 @@ def test_exit_code_3_on_cap(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_exit_code_2_on_cap_below_one(capsys, tmp_path):
+    # the diagonal's lattice is its top alone, which such a cap never saw
+    diagonal = tmp_path / "diagonal.json"
+    diagonal.write_text(json.dumps({"entries": [[1, 0], [0, 2]]}))
+    for argv in (
+        ["lattice", "--matrices", path("fig1.json")],
+        ["lattice", "--matrices", str(diagonal)],
+        ["tactical", "--incidence", path("k13.json")],
+        ["balanced", "--network", path("balex2.json")],
+    ):
+        for cap in ("0", "-5"):
+            code, out, err = run(capsys, *argv, "--cap", cap)
+            assert code == 2 and out == ""
+            assert "element_cap" in err
+
+
 def test_exit_code_4_on_verify_mismatch(capsys, tmp_path, monkeypatch):
     # force a mismatch by lying to the oracle
     import synclat.cli as cli
@@ -339,6 +356,50 @@ def test_cayley_verify_compares_cosets_only_for_generating_sets(capsys, tmp_path
         assert lines[1:] == [
             "verify skipped (coset partitions): generators reach only 4 of 8 elements"
         ]
+
+
+# The first 16 hex digits of the SHA-256 of stdout per --format (text, json,
+# dot; cir has no dot), for every command and tests/data input it accepts.
+# Every input has n < 14, so each run is inline and its JSON stats are exact.
+STDOUT_SHA256 = {
+    ("lattice", "matrices", "cipnet.json"): ("2ca5a4232b7b9b46", "45aa3b5ab7eb573f", "04838ada6c58f3a0"),
+    ("lattice", "matrices", "fano.json"): ("1d756da7ddb70e2b", "6d7f842bd1b3cceb", "0344bad189b8e49f"),
+    ("lattice", "matrices", "fig1.json"): ("3ea7e71353370abf", "4a14a639dc95041d", "2dfc081f89a6eb39"),
+    ("lattice", "matrices", "path4.json"): ("fc3cc6e4dad11992", "391bf65fae790295", "6d2a7297cf4f4185"),
+    ("cir", "matrices", "cipnet.json"): ("464fc0fe30b25af6", "442e6e9db52bb5f5"),
+    ("cir", "matrices", "fano.json"): ("349abe1272178917", "24ac0ae109373c2b"),
+    ("cir", "matrices", "fig1.json"): ("f33ae3bc9a22cd75", "dcd64fe0a6ac85c1"),
+    ("cir", "matrices", "path4.json"): ("fa133e252b97d108", "bebc2bd3539202ce"),
+    ("tactical", "matrices", "cipnet.json"): ("0331f4b63b1b05f1", "5bab581add0f5ac8", "9553cae180fe6f6b"),
+    ("tactical", "matrices", "fano.json"): ("84501511078bdaaa", "a6b43bef9b4c8fbf", "07f1c1e2c93b9bec"),
+    ("tactical", "matrices", "fig1.json"): ("1ce31544fecea719", "244b3f4423f8be0f", "15d08e90eb9b7948"),
+    ("tactical", "matrices", "k13.json"): ("c887dd9abe191e2a", "bf9bde4b5b9334e5", "cefeb9cf2ef4a771"),
+    ("tactical", "matrices", "path4.json"): ("e0d7ca5d99829417", "5440f7111d5b68fb", "b6b6ffcaee0bd964"),
+    ("tactical", "matrices", "rect.json"): ("1e11e57be08529cd", "a2ff6ddfeb5fdff8", "ba89617493b8d899"),
+    ("tactical", "incidence", "fano.json"): ("84501511078bdaaa", "a6b43bef9b4c8fbf", "07f1c1e2c93b9bec"),
+    ("tactical", "incidence", "k13.json"): ("c887dd9abe191e2a", "bf9bde4b5b9334e5", "cefeb9cf2ef4a771"),
+    ("balanced", "network", "balex2.json"): ("8af783ffd236d848", "b2f389ecde104af1", "68ccb802b7596311"),
+    ("balanced", "network", "forpath.json"): ("c345301e50bdb894", "ecfed398dab22d3c", "1209c6eb6cba3f17"),
+    ("exo-balanced", "network", "balex2.json"): ("8af783ffd236d848", "b2f389ecde104af1", "68ccb802b7596311"),
+    ("exo-balanced", "network", "forpath.json"): ("b5af2adeb0be6562", "341e269caa5915bc", "e0cfa0b7a84d6522"),
+    ("equitable", "adjacency", "path4.json"): ("fc3cc6e4dad11992", "391bf65fae790295", "6d2a7297cf4f4185"),
+    ("almost-equitable", "adjacency", "path4.json"): ("4ec39f5c52ac82a6", "0c43c91e7a4086d6", "c5b01f90c3203977"),
+    ("cayley", "group", "q8.json"): ("339867f7b93e9e79", "baaddd37307c70d0", "9ebb42ef70d28e11"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, source, name",
+    list(STDOUT_SHA256),
+    ids=[f"{command}-{name}" for command, _, name in STDOUT_SHA256],
+)
+def test_stdout_is_pinned(capsys, command, source, name):
+    got = []
+    for fmt in ("text", "json") if command == "cir" else ("text", "json", "dot"):
+        code, out, err = run(capsys, command, f"--{source}", path(name), "--format", fmt)
+        assert code == 0, err
+        got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(got) == STDOUT_SHA256[command, source, name]
 
 
 def test_module_entry_point():

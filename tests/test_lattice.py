@@ -197,6 +197,19 @@ def test_element_cap():
     assert info.value.count == 11
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_element_cap_below_one_is_rejected(cap, balex2_net):
+    # the top element alone would already exceed such a cap
+    diagonal = MatrixFamily([[[1, 0], [0, 2]]])
+    for compute, arg in (
+        (invariant_lattice, diagonal),
+        (tactical_lattice, diagonal),
+        (balanced_partitions, balex2_net),
+    ):
+        with pytest.raises(ValueError, match="element_cap"):
+            compute(arg, element_cap=cap)
+
+
 def test_pooled_cap_abort_leaves_no_workers():
     # the pool is shut down and joined even when the cap ends the search
     with pytest.raises(ElementCapExceeded):

@@ -32,7 +32,6 @@ from synclat import (
     star_graph,
     subgroup_coset_partitions,
     subgroups,
-    weighted_laplacian_network,
 )
 from conftest import BALEX_M1, BALEX_M2, K13_INCIDENCE
 
@@ -85,6 +84,12 @@ def test_laplacian_examples(weighted_w):
     )
     z = RationalMatrix([[0, 0], [0, 0]])
     assert laplacian(z) == z
+    # loops only: D equals W, so the companion network has no arrows
+    diag = RationalMatrix([[3, 0], [0, "1/2"]])
+    assert laplacian(diag) == RationalMatrix([[0, 0], [0, 0]])
+    # constant row sums s give L = s*I - W
+    reg = RationalMatrix([[1, 2], [2, 1]])
+    assert laplacian(reg) == RationalMatrix([[2, -2], [-2, 2]])
 
 
 def test_laplacian_rows_sum_to_zero():
@@ -99,16 +104,6 @@ def test_laplacian_rows_sum_to_zero():
         )
         lap = laplacian(w)
         assert all(sum(row) == 0 for row in lap.entries)
-
-
-def test_weighted_laplacian_network(weighted_w):
-    assert weighted_laplacian_network(weighted_w) == laplacian(weighted_w)
-    # loops only: D equals W, so the companion network has no arrows
-    diag = RationalMatrix([[3, 0], [0, "1/2"]])
-    assert weighted_laplacian_network(diag) == RationalMatrix([[0, 0], [0, 0]])
-    # constant row sums s give L = s*I - W
-    reg = RationalMatrix([[1, 2], [2, 1]])
-    assert weighted_laplacian_network(reg) == RationalMatrix([[2, -2], [-2, 2]])
 
 
 def test_balanced_balex(balex_net):
@@ -204,9 +199,7 @@ def test_forpath_exo_and_balanced(forpath_net):
 def test_weighted_exo_equals_balanced_of_companion(weighted_w):
     exo = invariant_lattice(MatrixFamily([laplacian(weighted_w)]))
     assert exo.bars() == ["123", "1|23", "1|2|3"]
-    companion = invariant_lattice(
-        MatrixFamily([weighted_laplacian_network(weighted_w)])
-    )
+    companion = invariant_lattice(MatrixFamily([laplacian(weighted_w)]))
     assert companion.elements == exo.elements
 
 

@@ -14,13 +14,15 @@ from synclat import (
     cir_chain,
     colored_product,
     column_space_contains,
+    complete_graph,
+    cycle_graph,
     induced_partition,
     invariant_lattice,
     is_invariant,
     matmul,
 )
 from synclat.oracle import all_partitions
-from synclat.refine import _split_pass
+from synclat.refine import _split_pass, _square_fixpoint, _start_state
 from conftest import M3_DIAG, M3_OTHER
 
 
@@ -114,6 +116,25 @@ def test_cir_chain_worked_example(cip_family):
     chain = cir_chain(cip_family, Partition.from_bar("14|235", 5))
     assert [p.bar() for p in chain] == ["14|235", "14|2|35", "1|2|35|4"]
     assert cir(cip_family, Partition.from_bar("14|235", 5)) == chain[-1]
+
+
+def test_witness_guard_reports_steps_until_the_witness_splits():
+    # C_8, S = {1,2,6,7}: the rest splits into 35|4|8 by in-weight from S,
+    # and the next step splits S into 17|26, which ends the refinement
+    engine = MatrixFamily([cycle_graph(8)]).engine()
+    start = Partition.from_bar("1267|3458", 8)
+    steps = []
+    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, (0, 4))
+    assert got is None
+    assert [Partition(c).bar() for c in steps] == ["1267|3458", "1267|35|4|8"]
+    # a split of K_n is its own fixpoint: the start is the one report and
+    # the result
+    engine = MatrixFamily([complete_graph(6)]).engine()
+    start = Partition.from_bar("125|346", 6)
+    steps = []
+    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, (0, 3))
+    assert steps == [start.coloring]
+    assert got is steps[0]
 
 
 def test_cir_from_singleton_balex(balex_family):
