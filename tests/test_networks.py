@@ -84,6 +84,9 @@ def test_laplacian_examples(weighted_w):
     )
     z = RationalMatrix([[0, 0], [0, 0]])
     assert laplacian(z) == z
+
+
+def test_weighted_laplacian_network():
     # loops only: D equals W, so the companion network has no arrows
     diag = RationalMatrix([[3, 0], [0, "1/2"]])
     assert laplacian(diag) == RationalMatrix([[0, 0], [0, 0]])
