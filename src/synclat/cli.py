@@ -199,8 +199,10 @@ def _verify_cosets(
     group: GroupTable, generators: list, lattice: InvariantLattice
 ) -> Optional[bool]:
     """The balanced partitions of a Cayley digraph are the right-coset
-    partitions by the subgroups, when the generators generate the group."""
-    reached = len(group.generated(int(s) - 1 for s in generators))
+    partitions by the subgroups, when the generators generate the group.
+    ``generators`` are the 1-based indices that :func:`cayley_network` has
+    already checked."""
+    reached = len(group.generated(s - 1 for s in generators))
     if reached != group.order:
         print(
             f"verify skipped (coset partitions): generators reach only "

@@ -2,10 +2,11 @@
 decompositions) of a matrix family, by split and cir.
 
 One search serves both.  It starts from the refinement fixpoint (cir) of a
-start coloring, then repeatedly pops an element, splits one class in two in
-each way that can witness a lower cover (see below), and runs cir on each
-split.  Every fixpoint is invariant, and a seen-set of elements ensures each
-is expanded at most once.  Every invariant element below a popped one is
+start coloring and walks down level by level: for every element of a level
+it splits one class in two in each way that can witness a lower cover (see
+below) and runs cir on each split, and the new fixpoints form the next
+level.  Every fixpoint is invariant, and a seen-set of elements ensures each
+is expanded at most once.  Every invariant element below an expanded one is
 reachable through some cover, so the search finds exactly the invariant
 partitions below cir(start): with the one-class start, all of them; with
 the cell types of a network, its balanced partitions.
@@ -16,15 +17,16 @@ coloring is invariant under the square block family [[0, M_l], [M_l^T, 0]]
 (see :mod:`synclat.refine`).  The split {rows | columns} lies above every
 such coloring, and splitting a class of a joined coloring splits one class
 on one side, so the tactical lattice is the same search on the block engine
-from that start.  Canonical joined colorings number the row classes first,
-so their order is the order of (row, column) pairs.
+from that start (:func:`synclat.refine._prepare` maps a pair onto it).
+Canonical joined colorings number the row classes first, so their order is
+the order of (row, column) pairs.
 
 Each element is one task.  The search walks the lattice level by level,
 each level in order of discovery, which is the order a FIFO queue pops
 elements in.  All tasks of a level go to one ``map``: the builtin one with
 one worker, the process pool's with more.  Both return results in task
 order, so the elements, the cover edges and every stat but the inline-only
-ones (``visited_*`` and ``queue_peak``) are the same for any worker count.
+``visited_*`` are the same for any worker count.
 
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice, so covers are not inherited from the ambient lattice.
@@ -65,14 +67,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from itertools import groupby, repeat
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 from .partition import Partition, PartitionPair
-from .refine import MatrixFamily, _square_fixpoint, _start_state
+from .refine import Element, MatrixFamily, _prepare, _square_fixpoint, _start_state
 
 _VISITED_CAP = 2 * 10**6  # distinct partitions tracked before visited_exact drops
-
-Element = Union[Partition, PartitionPair]
 
 
 class ElementCapExceeded(RuntimeError):
@@ -99,11 +99,10 @@ class LatticeStats:
     to False; multi-worker runs report None since unioning the per-worker
     sets would dwarf the actual computation.
 
-    ``queue_peak`` is the longest a FIFO element queue would grow in a
-    ``workers == 1`` run: the elements of the current level not yet read
-    plus those found for the next.  Multi-worker runs report None, because
-    the pool holds every task of a level at once, which that count does not
-    describe.
+    ``queue_peak`` is the longest a FIFO element queue would grow: the
+    elements of the current level not yet read plus those found for the
+    next.  Results come back in task order for any worker count, so it is
+    the same for every worker count.
 
     ``splits_examined`` counts the one-class splits that were refined and
     ``splits_pruned`` those the in-weight filter skipped (see the module
@@ -117,7 +116,7 @@ class LatticeStats:
     cir_calls: int = 0
     splits_examined: int = 0
     splits_pruned: int = 0
-    queue_peak: Optional[int] = 0
+    queue_peak: int = 0
     popped: int = 0
     visited_partitions: Optional[int] = None
     visited_exact: bool = False
@@ -228,17 +227,13 @@ def invariant_lattice(
     )
 
 
-def _invariant_below(
-    family: MatrixFamily, top: Partition, **kwargs
-) -> InvariantLattice:
-    """The invariant partitions that refine ``top``, found by the search from
-    cir(top); the element cap and the stats count only that down-set."""
-    if not family.is_square:
-        raise ValueError(
-            f"invariant_lattice needs a square family, got {family.rows}x{family.cols}"
-        )
-    found, stats, edges = _search(family.engine(), top.coloring, **kwargs)
-    return InvariantLattice(tuple(map(Partition._from_canonical, found)), edges, stats)
+def _invariant_below(family: MatrixFamily, top: Element, **kwargs) -> InvariantLattice:
+    """The invariant partitions (tactical pairs, for a pair ``top``) that
+    refine ``top``, found by the search from cir(top); the element cap and
+    the stats count only that down-set."""
+    engine, start, decode = _prepare(family, top)
+    found, stats, edges = _search(engine, start, **kwargs)
+    return InvariantLattice(tuple(map(decode, found)), edges, stats)
 
 
 def tactical_lattice(
@@ -254,15 +249,12 @@ def tactical_lattice(
     use of ``workers``.  The pair of all-singletons partitions is always
     tactical, so the lattice is never empty.
     """
-    m, n = family.rows, family.cols
-    found, stats, edges = _search(
-        family.block_engine(),
-        (1,) * m + (2,) * n,
+    return _invariant_below(
+        family,
+        PartitionPair.singleton(family.rows, family.cols),
         workers=workers,
         element_cap=element_cap,
     )
-    elements = tuple(PartitionPair._from_joined(c, m) for c in found)
-    return InvariantLattice(elements, edges, stats)
 
 
 def _search(
@@ -321,7 +313,7 @@ def _search(
         cir_calls=1 + splits,
         splits_examined=splits,
         splits_pruned=pruned,
-        queue_peak=queue_peak if pool is None else None,
+        queue_peak=queue_peak,
         popped=len(seen),  # every element found is expanded once
         visited_partitions=len(visited.items) if visited is not None else None,
         visited_exact=visited is not None and visited.exact,

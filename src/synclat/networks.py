@@ -38,6 +38,14 @@ from .rational import RationalMatrix
 from .refine import MatrixFamily
 
 
+def _index(x) -> int:
+    """An index read from outside input; floats and booleans are rejected,
+    not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"indices must be integers, got {x!r}")
+    return x
+
+
 class NetworkConsistencyWarning(UserWarning):
     """Arrow colors that straddle cell types.
 
@@ -77,7 +85,7 @@ class ColoredNetwork:
             raise ValueError(
                 f"cell-type partition covers {cell_types.n} cells, network has {n}"
             )
-        arrows = tuple((int(s), int(t), int(c)) for s, t, c in arrows)
+        arrows = tuple(tuple(map(_index, arrow)) for arrow in arrows)
         for s, t, c in arrows:
             if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"arrow ({s}, {t}) out of cell range 1..{n}")
@@ -269,7 +277,7 @@ class GroupTable(object):
         g = len(table)
         if g < 1:
             raise ValueError("group must have at least one element")
-        tab = tuple(tuple(int(x) for x in row) for row in table)
+        tab = tuple(tuple(map(_index, row)) for row in table)
         full = set(range(g))
         for row in tab:
             if len(row) != g or set(row) != full:
@@ -352,7 +360,7 @@ class GroupTable(object):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GroupTable":
         # 1-based element indices on the wire
-        table = [[x - 1 for x in row] for row in obj["table"]]
+        table = [[_index(x) - 1 for x in row] for row in obj["table"]]
         group = cls(table)
         if "order" in obj and obj["order"] != group.order:
             raise ValueError("declared order does not match table size")
@@ -364,7 +372,7 @@ def cayley_network(group: GroupTable, generators: Sequence[int]) -> ColoredNetwo
     g -> g*s.  ``generators`` holds 1-based element indices.  Warns when the
     generators do not generate the whole group (the coset description of the
     balanced partitions assumes they do)."""
-    gens = [int(s) - 1 for s in generators]
+    gens = [_index(s) - 1 for s in generators]
     if not gens:
         raise ValueError("generator list must be nonempty")
     for s in gens:

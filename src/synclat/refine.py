@@ -20,6 +20,9 @@ class against the column coloring and each column class against the row
 coloring, both from the same state; a start that separates rows from
 columns keeps them apart.  :meth:`MatrixFamily.block_engine` prepares that
 family straight from the sparse entries, without the (m+n)^2 matrix.
+:func:`_prepare` is the one place that maps an element type onto its
+engine, so :func:`cir`, :func:`cir_chain`, :func:`is_invariant` and the
+lattice search take a partition or a pair alike.
 
 Implementation notes, because this is the hot path of the whole package:
 each family is prepared once into one integer engine.  Every matrix is
@@ -38,10 +41,13 @@ an observer asks for them).
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence, Union
 
 from .partition import Partition, PartitionPair, canonical_coloring
-from .rational import RationalMatrix
+from .rational import RationalMatrix, transpose
+
+Element = Union[Partition, PartitionPair]
 
 
 class MatrixFamily:
@@ -51,7 +57,7 @@ class MatrixFamily:
     column order of intermediate product blocks, never any result.
     """
 
-    __slots__ = ("matrices", "rows", "cols", "_engine", "_block", "_transposed")
+    __slots__ = ("matrices", "rows", "cols", "_engine", "_block")
 
     def __init__(self, matrices: Sequence):
         mats = tuple(
@@ -71,7 +77,6 @@ class MatrixFamily:
         self.cols = cols
         self._engine = None
         self._block = None
-        self._transposed = None
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -90,13 +95,7 @@ class MatrixFamily:
         return self.rows == self.cols
 
     def transposed(self) -> "MatrixFamily":
-        if self._transposed is None:
-            from .rational import transpose
-
-            fam = MatrixFamily([transpose(m) for m in self.matrices])
-            fam._transposed = self
-            self._transposed = fam
-        return self._transposed
+        return MatrixFamily([transpose(m) for m in self.matrices])
 
     def engine(self) -> tuple:
         if self._engine is None:
@@ -283,35 +282,60 @@ def _square_fixpoint(
     return canonical_coloring(col) if last is None else last
 
 
-def cir(family: MatrixFamily, start: Partition) -> Partition:
+def _prepare(family: MatrixFamily, part: Element) -> tuple:
+    """``(engine, start coloring, decode)`` for a partition (its own coloring
+    on the square family) or a pair (its joined coloring on the block
+    family); ``decode`` maps a canonical coloring back to the element type.
+    A size or shape mismatch raises :class:`ValueError`."""
+    if isinstance(part, PartitionPair):
+        if part.shape != (family.rows, family.cols):
+            raise ValueError(
+                f"pair shape {part.shape} does not match family shape "
+                f"({family.rows}, {family.cols})"
+            )
+        decode = partial(PartitionPair._from_joined, m=family.rows)
+        return family.block_engine(), part.joined(), decode
+    if not family.is_square:
+        raise ValueError(
+            f"square matrix family required, got {family.rows}x{family.cols}"
+        )
+    if part.n != family.cols:
+        raise ValueError(
+            f"partition of {part.n} elements does not match family size {family.cols}"
+        )
+    return family.engine(), part.coloring, Partition._from_canonical
+
+
+def cir(family: MatrixFamily, start: Element) -> Element:
     """Coarsest invariant refinement: the unique coarsest partition that is
-    invariant under every matrix of the family and refines ``start``."""
-    _check_square(family, start)
-    fixpoint = _square_fixpoint(family.engine(), *_start_state(start.coloring))
-    return Partition._from_canonical(fixpoint)
+    invariant under every matrix of the family and refines ``start``.  For a
+    pair, the paper's generalization to a (possibly rectangular) family: the
+    coarsest tactical decomposition that refines it coordinatewise."""
+    engine, coloring, decode = _prepare(family, start)
+    return decode(_square_fixpoint(engine, *_start_state(coloring)))
 
 
-def cir_chain(family: MatrixFamily, start: Partition) -> list:
+def cir_chain(family: MatrixFamily, start: Element) -> list:
     """The refinement iteration from ``start`` down to its fixed point.
 
     Element 0 is ``start``, each following element is one strictly
-    finer step, and the last element is ``cir(family, start)``.
+    finer step, and the last element is ``cir(family, start)``; ``start``
+    may be a pair, as in :func:`cir`.
     """
-    _check_square(family, start)
+    engine, coloring, decode = _prepare(family, start)
     chain: list = []
-    _square_fixpoint(
-        family.engine(),
-        *_start_state(start.coloring),
-        lambda c: chain.append(Partition._from_canonical(c)),
-    )
+    _square_fixpoint(engine, *_start_state(coloring), lambda c: chain.append(decode(c)))
     return chain
 
 
-def is_invariant(family: MatrixFamily, part: Partition) -> bool:
+def is_invariant(family: MatrixFamily, part: Element) -> bool:
     """True iff the synchrony subspace of ``part`` is mapped into itself by
-    every matrix of the family (one refinement pass changes nothing)."""
-    _check_square(family, part)
-    return _is_stable(family.engine(), part.coloring)
+    every matrix of the family (one refinement pass changes nothing).  A
+    pair is invariant when it is tactical: the family maps the column
+    synchrony subspace into the row one, and its transpose the reverse."""
+    engine, coloring, _ = _prepare(family, part)
+    col, classes = _start_state(coloring)
+    return not _split_pass(engine, classes, col)[1]
 
 
 def directed_containment(
@@ -332,54 +356,15 @@ def directed_containment(
 
 
 def is_tactical(family: MatrixFamily, pair: PartitionPair) -> bool:
-    """True iff the pair is a tactical decomposition of the family: the
-    family maps the column synchrony subspace into the row one and the
-    transposed family maps the row one into the column one (the joined
-    coloring is invariant under the block family)."""
-    _check_shape(family, pair)
-    return _is_stable(family.block_engine(), pair.joined())
+    """True iff the pair is a tactical decomposition of the family."""
+    return is_invariant(family, pair)
 
 
 def tactical_cir(family: MatrixFamily, pair: PartitionPair) -> PartitionPair:
-    """Coarsest tactical refinement below ``pair``: the coarsest tactical
-    decomposition of the family that refines ``pair`` coordinatewise."""
-    _check_shape(family, pair)
-    joined = _square_fixpoint(family.block_engine(), *_start_state(pair.joined()))
-    return PartitionPair._from_joined(joined, family.rows)
+    """Coarsest tactical refinement below ``pair``."""
+    return cir(family, pair)
 
 
 def tactical_cir_chain(family: MatrixFamily, pair: PartitionPair) -> list:
     """Step-by-step tactical refinement from ``pair`` to its fixed point."""
-    _check_shape(family, pair)
-    chain: list = []
-    _square_fixpoint(
-        family.block_engine(),
-        *_start_state(pair.joined()),
-        lambda c: chain.append(PartitionPair._from_joined(c, family.rows)),
-    )
-    return chain
-
-
-def _is_stable(engine: tuple, coloring: Sequence[int]) -> bool:
-    col, classes = _start_state(coloring)
-    _, changed = _split_pass(engine, classes, col)
-    return not changed
-
-
-def _check_square(family: MatrixFamily, part: Partition) -> None:
-    if not family.is_square:
-        raise ValueError(
-            f"square matrix family required, got {family.rows}x{family.cols}"
-        )
-    if part.n != family.cols:
-        raise ValueError(
-            f"partition of {part.n} elements does not match family size {family.cols}"
-        )
-
-
-def _check_shape(family: MatrixFamily, pair: PartitionPair) -> None:
-    if pair.shape != (family.rows, family.cols):
-        raise ValueError(
-            f"pair shape {pair.shape} does not match family shape "
-            f"({family.rows}, {family.cols})"
-        )
+    return cir_chain(family, pair)

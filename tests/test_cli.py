@@ -198,6 +198,21 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         capsys, "cir", "--matrices", path("cipnet.json"), "--start", "12|45"
     )
     assert code == 2
+    # float indices are rejected, not truncated to the lattice of their ints
+    with open(path("q8.json")) as fh:
+        group = json.load(fh)
+    group["generators"] = [2.9, 3.2]
+    bad_group = tmp_path / "float_generators.json"
+    bad_group.write_text(json.dumps(group))
+    code, out, err = run(capsys, "cayley", "--group", str(bad_group))
+    assert code == 2 and out == "" and "2.9" in err
+    with open(path("balex2.json")) as fh:
+        network = json.load(fh)
+    network["arrows"][0]["from"] = 2.7
+    bad_network = tmp_path / "float_arrow.json"
+    bad_network.write_text(json.dumps(network))
+    code, out, err = run(capsys, "balanced", "--network", str(bad_network))
+    assert code == 2 and out == "" and "2.7" in err
 
 
 def test_exit_code_3_on_cap(capsys, tmp_path):

@@ -478,6 +478,23 @@ def test_non_generating_set_warns():
         cayley_network(z4, [3])  # the 2-step element generates only half
 
 
+def test_float_and_bool_indices_are_rejected():
+    # a float or a boolean index would otherwise be truncated to an int
+    with pytest.raises(ValueError, match="2.7"):
+        ColoredNetwork(3, [(2.7, 1, 1)])
+    with pytest.raises(ValueError, match="True"):
+        ColoredNetwork(3, [(1, 2, True)])
+    with pytest.raises(ValueError, match="1.0"):
+        GroupTable([[0, 1], [1, 1.0]])
+    with pytest.raises(ValueError, match="False"):
+        GroupTable([[False, 1], [1, 0]])
+    q8 = GroupTable.quaternion()
+    with pytest.raises(ValueError, match="2.9"):
+        cayley_network(q8, [2.9, 3])
+    with pytest.raises(ValueError, match="True"):
+        cayley_network(q8, [True])
+
+
 def test_group_json_round_trip():
     q8 = GroupTable.quaternion()
     obj = q8.to_json_dict()

@@ -1,8 +1,11 @@
+import json
+import os
 import random
 
 import pytest
 
 from synclat import (
+    IncidenceStructure,
     MatrixFamily,
     Partition,
     PartitionPair,
@@ -10,11 +13,15 @@ from synclat import (
     all_partitions,
     brute_tactical_set,
     characteristic_matrix,
+    cir,
+    cir_chain,
     column_space_contains,
+    cycle_graph,
     directed_containment,
     filter_below,
     graph_incidence,
     hasse_edges,
+    incidence_family,
     invariant_lattice,
     is_invariant,
     is_tactical,
@@ -24,6 +31,7 @@ from synclat import (
     tactical_lattice,
     transpose,
 )
+from synclat.lattice import _invariant_below
 from conftest import K13_PAIRS
 
 
@@ -193,7 +201,7 @@ def test_tactical_lattice_workers_agree(fixture, request):
             assert getattr(other.stats, field) == getattr(runs[0].stats, field)
     assert runs[0].stats.visited_exact
     assert runs[1].stats.visited_partitions is None
-    assert runs[1].stats.queue_peak is None
+    assert runs[1].stats.queue_peak == runs[0].stats.queue_peak
 
 
 def petersen_incidence():
@@ -220,7 +228,7 @@ def test_tactical_lattice_petersen_pooled_json_is_reproducible():
     # pooled stats hold nothing that depends on scheduling
     family = petersen_incidence()
     first = tactical_lattice(family, workers=2).to_json_dict()
-    assert first["stats"]["queue_peak"] is None
+    assert first["stats"]["queue_peak"] == 104  # the inline value
     assert tactical_lattice(family, workers=2).to_json_dict() == first
 
 
@@ -302,3 +310,69 @@ def test_tactical_shape_errors(k13_family):
         directed_containment(
             k13_family, Partition.singleton(3), Partition.singleton(4)
         )
+
+
+C5 = MatrixFamily([cycle_graph(5)])
+RECT = MatrixFamily([[[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]])  # 4x3
+MISMATCHES = {
+    "partition-size": (C5, Partition.singleton(4)),
+    "partition-rectangular": (RECT, Partition.singleton(3)),
+    "pair-square": (C5, PartitionPair.singleton(5, 4)),
+    "pair-rectangular": (RECT, PartitionPair.singleton(3, 4)),
+}
+ENTRY_POINTS = (
+    cir,
+    cir_chain,
+    is_invariant,
+    tactical_cir,
+    tactical_cir_chain,
+    is_tactical,
+    _invariant_below,
+)
+
+
+@pytest.mark.parametrize(
+    "call, family, part",
+    [
+        pytest.param(call, *case, id=f"{call.__name__}-{name}")
+        for call in ENTRY_POINTS
+        for name, case in MISMATCHES.items()
+    ]
+    + [
+        pytest.param(
+            lambda family, _: invariant_lattice(family),
+            RECT,
+            None,
+            id="invariant_lattice-rectangular",
+        )
+    ],
+)
+def test_shape_mismatch_raises_value_error(call, family, part):
+    with pytest.raises(ValueError):
+        call(family, part)
+
+
+def fano_from_file():
+    data = os.path.join(os.path.dirname(__file__), "data", "fano.json")
+    with open(data) as fh:
+        return incidence_family(IncidenceStructure.from_json_dict(json.load(fh)))
+
+
+@pytest.mark.parametrize("make_family", [fano_from_file, petersen_incidence])
+def test_square_entry_points_on_a_pair_are_the_tactical_ones(make_family):
+    family = make_family()
+    m, n = family.rows, family.cols
+    rng = random.Random(12)
+    starts = [PartitionPair.singleton(m, n), PartitionPair.discrete(m, n)]
+    starts += [
+        PartitionPair(rand_partition(rng, m), rand_partition(rng, n))
+        for _ in range(20)
+    ]
+    for start in starts:
+        result = cir(family, start)
+        assert result == tactical_cir(family, start)
+        assert result.refines(start) and is_tactical(family, result)
+        assert cir_chain(family, start) == tactical_cir_chain(family, start)
+        assert is_invariant(family, start) == is_tactical(family, start)
+    for pair in tactical_lattice(family).elements[:20]:
+        assert is_invariant(family, pair) and is_tactical(family, pair)
