@@ -38,10 +38,17 @@ So every lower cover is the cir of a split of one class X into some S that
 holds x0 and the rest, and two conditions single out the splits that can
 give one:
 
-* Filter.  S is a class of the invariant L, so under each matrix every i in
-  S gets the same in-weight from S: the packed sum over j in S of W_ij (see
-  :func:`synclat.refine._pack`, an exact encoding) is one integer for all i
-  in S.  Only such S are refined.
+* Filter.  L is invariant, so each matrix M_l maps its synchrony subspace V
+  into V, and so does every linear combination of the M_l and of their
+  products.  A matrix F that maps V into V maps the indicator of the class S
+  into V, so every i in S gets the same in-weight sum_{j in S} F_ij from S.
+  The search takes F = W + K·W², where W is the engine's packed family (see
+  :func:`synclat.refine._pack`), W² its exact integer square and
+  K = 2·max_i sum_j |W_ij| + 1.  An in-weight under W is below K/2 in
+  absolute value, so an in-weight under F encodes the in-weights under W
+  and under W² exactly, and S passes when both are uniform on S.  Only such
+  S are refined.  Any F that maps V into V gives a sound filter; the exact
+  digits only make this one stronger.
 * Guard.  Every step P of the refinement chain from Q satisfies
   L <= P <= Q, so S stays one class of every step.  A chain whose step
   splits S is abandoned and its result dropped.
@@ -56,8 +63,9 @@ once it and all its in-neighbours in X are decided.  When the weights inside
 X are uniform (one diagonal value d, and either no off-diagonal weight or one
 value w on every off-diagonal pair), each i in S gets d + (|S| - 1)w, every S
 passes, and the splits are the plain masks without checks.  That holds for
-every class of K_n, and for every class of a tactical search, since a block
-class lies on one side and gets no weight from its own side.
+every class of K_n, since W = J - I and W² = (n - 2)J + I are uniform on
+every class.  A class of a tactical search lies on one side and gets no
+weight from it under W, but under W² = diag(M M^T, M^T M) it does.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import groupby, repeat
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, Optional
 
 from .partition import Partition, PartitionPair
@@ -105,9 +113,10 @@ class LatticeStats:
     the same for every worker count.
 
     ``splits_examined`` counts the one-class splits that were refined and
-    ``splits_pruned`` those the in-weight filter skipped (see the module
-    docstring); together they are the sum of 2^(s-1) - 1 over the classes
-    of every element.  ``cir_calls`` is ``splits_examined`` plus the top.
+    ``splits_pruned`` those the filter skipped, whose witness gets unequal
+    in-weights under W or under W² (see the module docstring); together
+    they are the sum of 2^(s-1) - 1 over the classes of every element.
+    ``cir_calls`` is ``splits_examined`` plus the top.
 
     The counts describe the search that ran: for balanced and exo-balanced
     partitions, the search below the cell types, not the whole lattice.
@@ -280,12 +289,13 @@ def _search(
     covers = []  # (coarser, finer) pairs of instances stored in seen
     splits = pruned = 0
     queue_peak = 1
+    table = _filter_table(engine)
     pool = None
     if workers == 1:
-        run = partial(map, partial(_run_task, engine, on_step=on_step))
+        run = partial(map, partial(_run_task, engine, table, on_step=on_step))
     else:
         pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(engine,)
+            max_workers=workers, initializer=_pool_init, initargs=(engine, table)
         )
         run = partial(pool.map, _pool_run_task)
     try:
@@ -343,12 +353,15 @@ def _refines(fine: tuple, coarse: tuple) -> bool:
 
 
 def _run_task(
-    engine: tuple, element: tuple, on_step: Optional[Callable[[tuple], None]] = None
+    engine: tuple,
+    table: tuple,
+    element: tuple,
+    on_step: Optional[Callable[[tuple], None]] = None,
 ) -> tuple:
-    """Refine the splits of one element that can witness a lower cover;
-    returns the fixpoints of the chains that kept their witness, in order of
-    first appearance, and the number of splits refined.  ``on_step`` is
-    passed to every refinement.
+    """Refine the splits of one element that pass the filter on F's rows
+    ``table`` (see :func:`_witnesses`); returns the fixpoints of the chains
+    that kept their witness, in order of first appearance, and the number of
+    splits refined.  ``on_step`` is passed to every refinement.
 
     Each split starts from a copy of the element's working state: its class
     X becomes the witness S, which holds X's smallest member, and the fresh
@@ -361,7 +374,7 @@ def _run_task(
     for color, members in enumerate(classes):
         if len(members) < 2:
             continue
-        for inside, outside in _witnesses(engine, col, members):
+        for inside, outside in _witnesses(table, col, members):
             examined += 1
             split_col = col.copy()
             for i in outside:
@@ -377,24 +390,40 @@ def _run_task(
     return found, examined
 
 
-def _witnesses(engine: tuple, col: list, members: list) -> Iterator[tuple]:
+def _filter_table(engine: tuple) -> tuple:
+    """The rows of F = W + K·W² (see the module docstring) for the packed
+    weights W of the engine, each row the ``(j, F_ij)`` with F_ij != 0 in
+    order of j."""
+    rows, _, ones = engine
+    if ones:
+        rows = [[(j, 1) for j in row] for row in rows]
+    k = 2 * max(sum(abs(w) for _, w in row) for row in rows) + 1
+    table = []
+    for row in rows:
+        weights = dict(row)
+        for j, w in row:
+            for t, x in rows[j]:
+                weights[t] = weights.get(t, 0) + k * w * x
+        table.append(tuple(sorted((j, x) for j, x in weights.items() if x)))
+    return tuple(table)
+
+
+def _witnesses(table: tuple, col: list, members: list) -> Iterator[tuple]:
     """The splits ``(S, X minus S)`` of the class X = ``members`` (sorted,
     0-based working labels ``col``) that pass the filter of the module
     docstring: x0 = ``members[0]`` in S, S != X, and every i in S getting
-    the same packed in-weight sum_{j in S} W_ij.
+    the same in-weight sum_{j in S} F_ij, with F's rows in ``table``.
 
     A class with uniform weights yields the masks 1..2^(s-1)-1 in order:
     bit t moves the (t+1)-th member after x0 out of S.  Any other class is
     searched by lazy backtracking in breadth-first order from x0 along
     in-weights.
     """
-    rows, _, ones = engine
     size = len(members)
-    inner = {}  # i -> [(j, W_ij)] for j in X
+    inner = {}  # i -> [(j, F_ij)] for j in X
     diagonal, off = set(), []
     for i in members:
-        row = zip(rows[i], repeat(1)) if ones else rows[i]
-        inner[i] = weights = [(j, w) for j, w in row if col[j] == col[i]]
+        inner[i] = weights = [(j, w) for j, w in table[i] if col[j] == col[i]]
         diagonal.add(dict(weights).get(i, 0))
         off += [w for j, w in weights if j != i]
     if len(diagonal) == 1 and (
@@ -408,14 +437,18 @@ def _witnesses(engine: tuple, col: list, members: list) -> Iterator[tuple]:
                 mask >>= 1
             yield inside, outside
         return
-    order, head = [], 0  # breadth-first along in-weights, component by component
+    # breadth-first along in-weights, component by component
+    order, depth_of, head = [], {}, 0
     for root in members:
-        if root not in order:
+        if root not in depth_of:
+            depth_of[root] = len(order)
             order.append(root)
         while head < len(order):
-            order += [j for j, _ in inner[order[head]] if j not in order]
+            for j, _ in inner[order[head]]:
+                if j not in depth_of:
+                    depth_of[j] = len(order)
+                    order.append(j)
             head += 1
-    depth_of = {i: d for d, i in enumerate(order)}
     # ready[d]: the members whose in-weight from S is known at depth d
     ready: list = [[] for _ in order]
     for i in members:
@@ -446,18 +479,18 @@ def _witnesses(engine: tuple, col: list, members: list) -> Iterator[tuple]:
     yield from extend(0, None)
 
 
-# Pool workers receive the engine once, through the initializer, instead of
-# with every task.
-_WORKER_ENGINE = None
+# Pool workers receive the engine and the filter table once, through the
+# initializer, instead of with every task.
+_WORKER_ARGS: tuple = ()
 
 
-def _pool_init(engine: tuple) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = engine
+def _pool_init(engine: tuple, table: tuple) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = (engine, table)
 
 
 def _pool_run_task(element: tuple) -> tuple:
-    return _run_task(_WORKER_ENGINE, element)
+    return _run_task(*_WORKER_ARGS, element)
 
 
 def filter_below(lattice: InvariantLattice, top: Partition) -> InvariantLattice:

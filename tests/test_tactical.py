@@ -220,15 +220,15 @@ def test_tactical_lattice_petersen_pooled():
     assert par.cover_edges == seq.cover_edges
     # the work of the sequential search, pinned
     stats = seq.stats
-    assert (stats.cir_calls, stats.splits_examined, stats.popped) == (40057, 40056, 134)
-    assert (stats.visited_partitions, stats.queue_peak) == (85138, 104)
+    assert (stats.cir_calls, stats.splits_examined, stats.popped) == (4473, 4472, 134)
+    assert (stats.visited_partitions, stats.queue_peak) == (14275, 97)
 
 
 def test_tactical_lattice_petersen_pooled_json_is_reproducible():
     # pooled stats hold nothing that depends on scheduling
     family = petersen_incidence()
     first = tactical_lattice(family, workers=2).to_json_dict()
-    assert first["stats"]["queue_peak"] == 104  # the inline value
+    assert first["stats"]["queue_peak"] == 97  # the inline value
     assert tactical_lattice(family, workers=2).to_json_dict() == first
 
 

@@ -1,47 +1,69 @@
 """The search refines only the splits that can witness a lower cover.
 
 The reference below is the plain split-and-cir search: every one-class split
-of every element, refined to its fixpoint with nothing pruned or abandoned,
-and the lower covers as the maxima of each element's fixpoints.  The library
-must find the same elements and cover edges at every worker count.
+of every element (of either side, for a pair), refined to its fixpoint with
+nothing pruned or abandoned, and the lower covers as the maxima of each
+element's fixpoints.  The library must find the same elements and cover
+edges at every worker count.
 """
 
+import json
+import os
 import random
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 from synclat import (
     MatrixFamily,
     NetworkConsistencyWarning,
     Partition,
+    PartitionPair,
     balanced_partitions,
+    brute_invariant_set,
     cir,
     complete_graph,
     cycle_graph,
     exo_balanced_partitions,
+    graph_incidence,
     grid_graph,
+    hasse_edges,
     invariant_lattice,
     laplacian,
     monochrome_adjacency,
+    tactical_cir,
     tactical_lattice,
 )
-from synclat.lattice import _invariant_below
+from synclat.lattice import _filter_table, _invariant_below, _witnesses
 from synclat.networks import network_from_adjacencies
 from synclat.partition import iter_cover_colorings
-from test_tactical import petersen_incidence
+from synclat.refine import _start_state
+from test_tactical import petersen_incidence, rand_rect_family
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def one_class_splits(element):
+    """Every partition (pair) that splits one class of ``element`` in two."""
+    if isinstance(element, PartitionPair):
+        rows, cols = element.row_part, element.col_part
+        return [PartitionPair(s, cols) for s in one_class_splits(rows)] + [
+            PartitionPair(rows, s) for s in one_class_splits(cols)
+        ]
+    return [Partition(c) for c in iter_cover_colorings(element.coloring)]
 
 
 def lattice_by_all_splits(family, top):
     """Elements below cir(top), sorted, and the sorted (coarser, finer) cover
-    index pairs, from cir of every one-class split of every element."""
-    first = cir(family, top)
+    index pairs, from cir (tactical_cir, for a pair) of every one-class split
+    of every element."""
+    refine = tactical_cir if isinstance(top, PartitionPair) else cir
+    first = refine(family, top)
     seen = {first}
     queue = [first]
     covers = []
     for element in queue:
-        fixpoints = {
-            cir(family, Partition(c)) for c in iter_cover_colorings(element.coloring)
-        }
+        fixpoints = {refine(family, split) for split in one_class_splits(element)}
         for fixpoint in fixpoints:
             if fixpoint not in seen:
                 seen.add(fixpoint)
@@ -51,7 +73,9 @@ def lattice_by_all_splits(family, top):
             for f in fixpoints
             if not any(g != f and f.refines(g) for g in fixpoints)
         ]
-    elements = sorted(seen, key=lambda p: p.coloring)
+    elements = sorted(
+        seen, key=lambda p: p.joined() if isinstance(p, PartitionPair) else p.coloring
+    )
     index = {e: i for i, e in enumerate(elements)}
     return tuple(elements), tuple(sorted((index[a], index[b]) for a, b in covers))
 
@@ -192,7 +216,7 @@ def test_cycle_19_refines_few_splits():
     lat = invariant_lattice(MatrixFamily([cycle_graph(19)]))
     stats = lat.stats
     assert len(lat) == 21
-    assert stats.splits_examined == 3309
+    assert stats.splits_examined == 638
     # the unpruned search refines every one-class split of every element
     assert stats.splits_examined + stats.splits_pruned == 262314
     assert stats.cir_calls == stats.splits_examined + 1
@@ -203,11 +227,59 @@ def test_cycle_19_refines_few_splits():
 
 
 def test_uniform_classes_prune_nothing():
-    # every split of a class of K_n, or of one side of an incidence
-    # structure, passes the in-weight filter
-    for lat in (
-        invariant_lattice(MatrixFamily([complete_graph(8)])),
-        tactical_lattice(petersen_incidence()),
-    ):
-        assert lat.stats.splits_pruned == 0
-        assert lat.stats.cir_calls == lat.stats.splits_examined + 1
+    # every split of a class of K_n passes the filter: J - I and its square
+    # are uniform on every class
+    lat = invariant_lattice(MatrixFamily([complete_graph(8)]))
+    assert lat.stats.splits_examined == 28337
+    assert lat.stats.splits_pruned == 0
+    assert lat.stats.cir_calls == lat.stats.splits_examined + 1
+    # a side of an incidence structure gets no weight from itself, but its
+    # square M M^T = A + 3I does separate the Petersen vertices
+    stats = tactical_lattice(petersen_incidence()).stats
+    assert stats.splits_examined + stats.splits_pruned == 40056
+    assert stats.splits_pruned > 0
+    assert stats.cir_calls == stats.splits_examined + 1
+
+
+def test_tactical_lattices_match_reference():
+    with open(os.path.join(DATA, "fano.json")) as fh:
+        fano = MatrixFamily(json.load(fh)["matrices"])
+    k4 = MatrixFamily([graph_incidence(4, list(combinations(range(1, 5), 2)))])
+    rng = random.Random(11)
+    families = [k4, fano] + [
+        rand_rect_family(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(25)
+    ]
+    pruned = 0
+    for family in families:
+        lat = assert_matches_reference(
+            family,
+            PartitionPair.singleton(family.rows, family.cols),
+            lambda workers: tactical_lattice(family, workers=workers),
+        )
+        pruned += lat.stats.splits_pruned
+    assert pruned > 0
+
+
+def test_filter_passes_the_witness_of_every_brute_force_cover():
+    # direct soundness of _witnesses: for every cover (E, L) of the
+    # brute-force lattice and every class X of E that L splits, the class S
+    # of L that holds X's smallest member is among the splits of X yielded
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(12):
+        for family in (
+            planted_family(rng, rng.randint(2, 7)),
+            symmetric_circulant_family(rng, rng.randint(4, 7)),
+        ):
+            elements = sorted(brute_invariant_set(family), key=lambda p: p.coloring)
+            table = _filter_table(family.engine())
+            for coarse, fine in hasse_edges(elements):
+                col, classes = _start_state(elements[coarse].coloring)
+                below = elements[fine].coloring
+                for members in classes:
+                    witness = [i for i in members if below[i] == below[members[0]]]
+                    if len(witness) < len(members):
+                        splits = _witnesses(table, col, members)
+                        assert (witness, sorted(set(members) - set(witness))) in splits
+                        checked += 1
+    assert checked > 100
