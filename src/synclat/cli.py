@@ -12,8 +12,9 @@ with --verify and no stdout: --network runs balanced and exo-balanced,
 --adjacency equitable and almost-equitable, --group cayley, --matrices
 lattice (tactical for rectangular matrices), --incidence tactical.  The
 cayley check also compares with the subgroup coset partitions when the
-generators generate the group.  Checks past the oracle's size caps are
-skipped, not failed.  ``cir`` computes one partition and has its own check.
+generators generate the group.  A check that the oracle refuses as past its
+size caps (:class:`synclat.oracle.OracleLimit`) is skipped with the oracle's
+reason, not failed.  ``cir`` computes one partition and has its own check.
 
 Exit codes: 0 success, 2 parse or validation error, 3 element-cap abort,
 4 oracle mismatch under --verify.
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from typing import Iterator, Optional
@@ -57,20 +57,10 @@ from .networks import (
     monochrome_adjacency,
     subgroup_coset_partitions,
 )
-from .oracle import (
-    MAX_BRUTE_N,
-    MAX_ENUM_N,
-    MAX_BRUTE_PAIRS,
-    bell_number,
-    brute_invariant_set,
-    brute_tactical_set,
-    hasse_edges,
-)
+from .oracle import OracleLimit, brute_invariant_set, brute_tactical_set, hasse_edges
 from .partition import Partition
 from .rational import RationalMatrix
 from .refine import MatrixFamily, cir_chain, is_invariant
-
-_SMALL_N = 14  # below this, auto worker selection stays sequential
 
 
 def emit_dot(lattice: InvariantLattice) -> str:
@@ -135,16 +125,6 @@ def _group_from_path(path: str) -> tuple:
     return group, generators
 
 
-def _resolve_workers(requested: Optional[int], n: int) -> int:
-    if requested is not None:
-        if requested < 1:
-            raise ValueError("--workers must be >= 1")
-        return requested
-    if n < _SMALL_N:
-        return 1
-    return os.cpu_count() or 1
-
-
 def _verify(
     label: str,
     lattice: InvariantLattice,
@@ -155,19 +135,16 @@ def _verify(
     the invariant partitions of ``family`` that refine ``below`` (tactical
     decompositions, for a pair lattice), then its cover edges against the
     oracle's transitive reduction.  None when past the oracle's size caps."""
-    if lattice.is_tactical:
-        m, n = family.rows, family.cols
-        if max(m, n) > MAX_ENUM_N or bell_number(m) * bell_number(n) > MAX_BRUTE_PAIRS:
-            print(f"verify skipped ({label}): ground sets too large", file=sys.stderr)
-            return None
-        expected = brute_tactical_set(family)
-    elif family.cols > MAX_BRUTE_N:
-        print(f"verify skipped ({label}): n > {MAX_BRUTE_N}", file=sys.stderr)
+    try:
+        if lattice.is_tactical:
+            expected = brute_tactical_set(family)
+        else:
+            expected = brute_invariant_set(family)
+    except OracleLimit as exc:
+        print(f"verify skipped ({label}): {exc}", file=sys.stderr)
         return None
-    else:
-        expected = brute_invariant_set(family)
-        if below is not None:
-            expected = {p for p in expected if p.refines(below)}
+    if below is not None:
+        expected = {p for p in expected if p.refines(below)}
     got = set(lattice.elements)
     if got != expected:
         missing = sorted(p.bar() for p in expected - got)
@@ -219,11 +196,13 @@ def _verify_cosets(
 
 
 def _verify_cir(family: MatrixFamily, start: Partition, result: Partition) -> Optional[bool]:
-    if family.cols > MAX_BRUTE_N:
-        print(f"verify skipped (cir): n > {MAX_BRUTE_N}", file=sys.stderr)
+    try:
+        invariant = brute_invariant_set(family)
+    except OracleLimit as exc:
+        print(f"verify skipped (cir): {exc}", file=sys.stderr)
         return None
     coarsest = Partition.discrete(start.n)
-    for candidate in brute_invariant_set(family):
+    for candidate in invariant:
         if candidate.refines(start):
             coarsest = coarsest.join(candidate)
     ok = (
@@ -281,12 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(run=_cmd_cir)
             continue
         p.add_argument("--cap", type=int, default=10**6, help="element cap (exit 3 when exceeded)")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker processes; default: 1 for small inputs, all CPUs otherwise",
-        )
+        p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
     return parser
 
 
@@ -303,12 +277,9 @@ def _lattices(args) -> Iterator[tuple]:
     def wants(command: str) -> bool:
         return args.command in (command, "verify")
 
-    def sized(n: int) -> dict:
-        return {"workers": _resolve_workers(args.workers, n), "element_cap": args.cap}
-
+    kw = {"workers": args.workers, "element_cap": args.cap}
     if args.network:
         net = ColoredNetwork.from_json_dict(_load_json(args.network))
-        kw = sized(net.n)
         fam = monochrome_adjacency(net)
         if wants("balanced"):
             yield "balanced", balanced_partitions(net, **kw), fam, net.cell_types, None
@@ -318,7 +289,6 @@ def _lattices(args) -> Iterator[tuple]:
             yield "exo-balanced", lat, lfam, net.cell_types, None
     elif args.adjacency:
         adjacency = _adjacency_from_path(args.adjacency)
-        kw = sized(adjacency.cols)
         if wants("equitable"):
             lat = equitable_partitions(adjacency, **kw)
             yield "equitable", lat, MatrixFamily([adjacency]), None, None
@@ -328,7 +298,7 @@ def _lattices(args) -> Iterator[tuple]:
     elif args.group:
         group, generators = _group_from_path(args.group)
         net = cayley_network(group, generators)
-        lat = balanced_partitions(net, **sized(net.n))
+        lat = balanced_partitions(net, **kw)
         cosets = partial(_verify_cosets, group, generators)
         yield "cayley", lat, monochrome_adjacency(net), net.cell_types, cosets
     else:
@@ -341,10 +311,10 @@ def _lattices(args) -> Iterator[tuple]:
         if args.command == "lattice" and not square:
             raise ValueError("the 'lattice' command needs square matrices; see 'tactical'")
         if square:
-            lat = invariant_lattice(family, **sized(family.cols))
+            lat = invariant_lattice(family, **kw)
             yield "lattice", lat, family, None, None
         else:
-            lat = tactical_lattice(family, **sized(max(family.rows, family.cols)))
+            lat = tactical_lattice(family, **kw)
             yield "tactical", lat, family, None, None
 
 

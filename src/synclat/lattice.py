@@ -42,13 +42,13 @@ give one:
   into V, and so does every linear combination of the M_l and of their
   products.  A matrix F that maps V into V maps the indicator of the class S
   into V, so every i in S gets the same in-weight sum_{j in S} F_ij from S.
-  The search takes F = W + K·W², where W is the engine's packed family (see
-  :func:`synclat.refine._pack`), W² its exact integer square and
-  K = 2·max_i sum_j |W_ij| + 1.  An in-weight under W is below K/2 in
-  absolute value, so an in-weight under F encodes the in-weights under W
-  and under W² exactly, and S passes when both are uniform on S.  Only such
-  S are refined.  Any F that maps V into V gives a sound filter; the exact
-  digits only make this one stronger.
+  The search takes F = W + K·W² (see :func:`synclat.refine._filter_table`),
+  where W is the engine's packed family (:func:`synclat.refine._pack`), W²
+  its exact integer square and K = 2·max_i sum_j |W_ij| + 1.  An in-weight
+  under W is below K/2 in absolute value, so an in-weight under F encodes
+  the in-weights under W and under W² exactly, and S passes when both are
+  uniform on S.  Only such S are refined.  Any F that maps V into V gives
+  a sound filter; the exact digits only make this one stronger.
 * Guard.  Every step P of the refinement chain from Q satisfies
   L <= P <= Q, so S stays one class of every step.  A chain whose step
   splits S is abandoned and its result dropped.
@@ -77,8 +77,15 @@ from functools import cached_property, partial
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Optional
 
-from .partition import Partition, PartitionPair
-from .refine import Element, MatrixFamily, _prepare, _square_fixpoint, _start_state
+from .partition import Partition, PartitionPair, _class_splits, _refines
+from .refine import (
+    Element,
+    MatrixFamily,
+    _filter_table,
+    _prepare,
+    _square_fixpoint,
+    _start_state,
+)
 
 _VISITED_CAP = 2 * 10**6  # distinct partitions tracked before visited_exact drops
 
@@ -346,12 +353,6 @@ def _maxima(candidates: Iterable[tuple]) -> list:
     return maxima
 
 
-def _refines(fine: tuple, coarse: tuple) -> bool:
-    """True iff every class of ``fine`` lies inside a class of ``coarse``;
-    both are canonical colorings."""
-    return len(set(zip(fine, coarse))) == max(fine)
-
-
 def _run_task(
     engine: tuple,
     table: tuple,
@@ -390,34 +391,15 @@ def _run_task(
     return found, examined
 
 
-def _filter_table(engine: tuple) -> tuple:
-    """The rows of F = W + K·W² (see the module docstring) for the packed
-    weights W of the engine, each row the ``(j, F_ij)`` with F_ij != 0 in
-    order of j."""
-    rows, _, ones = engine
-    if ones:
-        rows = [[(j, 1) for j in row] for row in rows]
-    k = 2 * max(sum(abs(w) for _, w in row) for row in rows) + 1
-    table = []
-    for row in rows:
-        weights = dict(row)
-        for j, w in row:
-            for t, x in rows[j]:
-                weights[t] = weights.get(t, 0) + k * w * x
-        table.append(tuple(sorted((j, x) for j, x in weights.items() if x)))
-    return tuple(table)
-
-
 def _witnesses(table: tuple, col: list, members: list) -> Iterator[tuple]:
     """The splits ``(S, X minus S)`` of the class X = ``members`` (sorted,
     0-based working labels ``col``) that pass the filter of the module
     docstring: x0 = ``members[0]`` in S, S != X, and every i in S getting
     the same in-weight sum_{j in S} F_ij, with F's rows in ``table``.
 
-    A class with uniform weights yields the masks 1..2^(s-1)-1 in order:
-    bit t moves the (t+1)-th member after x0 out of S.  Any other class is
-    searched by lazy backtracking in breadth-first order from x0 along
-    in-weights.
+    A class with uniform weights yields every split, in the order of
+    :func:`synclat.partition._class_splits`.  Any other class is searched by
+    lazy backtracking in breadth-first order from x0 along in-weights.
     """
     size = len(members)
     inner = {}  # i -> [(j, F_ij)] for j in X
@@ -429,13 +411,7 @@ def _witnesses(table: tuple, col: list, members: list) -> Iterator[tuple]:
     if len(diagonal) == 1 and (
         not off or (len(off) == size * (size - 1) and len(set(off)) == 1)
     ):
-        x0, rest = members[0], members[1:]
-        for mask in range(1, 1 << (size - 1)):
-            inside, outside = [x0], []
-            for i in rest:
-                (outside if mask & 1 else inside).append(i)
-                mask >>= 1
-            yield inside, outside
+        yield from _class_splits(members)
         return
     # breadth-first along in-weights, component by component
     order, depth_of, head = [], {}, 0

@@ -439,23 +439,15 @@ class IncidenceStructure:
     matrices: tuple
 
     def __init__(self, matrices: Sequence):
-        mats = tuple(
-            m if isinstance(m, RationalMatrix) else RationalMatrix(m)
-            for m in matrices
-        )
-        if not mats:
-            raise ValueError("incidence structure needs at least one matrix")
-        m, n = mats[0].rows, mats[0].cols
-        for mat in mats:
-            if (mat.rows, mat.cols) != (m, n):
-                raise ValueError("incidence matrices must share one shape")
+        family = MatrixFamily(matrices)
+        for mat in family.matrices:
             for row in mat.entries:
                 for x in row:
                     if x not in (0, 1):
                         raise ValueError(f"incidence entries must be 0/1, got {x}")
-        object.__setattr__(self, "points", m)
-        object.__setattr__(self, "lines", n)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "points", family.rows)
+        object.__setattr__(self, "lines", family.cols)
+        object.__setattr__(self, "matrices", family.matrices)
 
     def to_json_dict(self) -> dict:
         return {

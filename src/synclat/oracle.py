@@ -24,6 +24,10 @@ MAX_BRUTE_N = 10
 MAX_BRUTE_PAIRS = 10**6
 
 
+class OracleLimit(ValueError):
+    """A brute-force scan past its size cap; the message is the reason."""
+
+
 def bell_number(n: int) -> int:
     if not 0 <= n < len(_BELL):
         raise ValueError(f"Bell numbers tabulated only up to n={len(_BELL) - 1}")
@@ -65,7 +69,7 @@ def brute_invariant_set(family: MatrixFamily) -> Set[Partition]:
         raise ValueError("brute_invariant_set needs a square family")
     n = family.cols
     if n > MAX_BRUTE_N:
-        raise ValueError(f"brute-force invariance scan capped at n={MAX_BRUTE_N}")
+        raise OracleLimit(f"n > {MAX_BRUTE_N}")
     return {part for part in all_partitions(n) if _invariant_direct(family, part)}
 
 
@@ -81,10 +85,9 @@ def brute_tactical_set(family: MatrixFamily) -> Set[PartitionPair]:
     exactly when a refines rho(b) and b refines sigma(a).
     """
     m, n = family.rows, family.cols
-    if bell_number(m) * bell_number(n) > MAX_BRUTE_PAIRS:
-        raise ValueError(
-            f"brute-force tactical scan capped at {MAX_BRUTE_PAIRS} pairs"
-        )
+    # bell_number stops at MAX_ENUM_N, so that bound is checked first
+    if max(m, n) > MAX_ENUM_N or bell_number(m) * bell_number(n) > MAX_BRUTE_PAIRS:
+        raise OracleLimit("ground sets too large")
 
     def induced(mats: list, part: Partition) -> Partition:
         p = characteristic_matrix(part)

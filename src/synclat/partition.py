@@ -141,12 +141,7 @@ class Partition:
             raise TypeError("refines expects a Partition")
         if other.n != self.n:
             raise ValueError(f"ground sets differ: {self.n} vs {other.n}")
-        image: dict = {}
-        for ca, cb in zip(self.coloring, other.coloring):
-            prev = image.setdefault(ca, cb)
-            if prev != cb:
-                return False
-        return True
+        return _refines(self.coloring, other.coloring)
 
     def meet(self, other: "Partition") -> "Partition":
         """Coarsest common refinement: classes are pairwise intersections."""
@@ -221,25 +216,37 @@ def _parse_element(tok: str, n: int) -> int:
     return el
 
 
-def iter_cover_colorings(coloring: Sequence[int]) -> Iterator[tuple]:
-    """Canonical colorings of all one-class splits of a canonical coloring.
+def _refines(fine: Sequence[int], coarse: Sequence[int]) -> bool:
+    """True iff every class of ``fine`` lies inside a class of ``coarse``;
+    both are canonical colorings of one ground set."""
+    return len(set(zip(fine, coarse))) == max(fine)
 
-    For each class, its smallest member keeps its color and mask bit t moves
-    the (t+1)-th other member to a fresh class; masks 1..2**(s-1)-1 of a
-    class of size s give each unordered bipartition exactly once.
-    """
+
+def _class_splits(members: Sequence) -> Iterator[tuple]:
+    """The splits ``(inside, outside)`` of a class given by its sorted
+    members, each unordered bipartition once: the smallest member x0 stays
+    inside, and bit t of the masks 1..2**(s-1)-1 of a class of size s moves
+    the (t+1)-th member after x0 out."""
+    x0, rest = members[0], members[1:]
+    for mask in range(1, 1 << len(rest)):
+        inside, outside = [x0], []
+        for i in rest:
+            (outside if mask & 1 else inside).append(i)
+            mask >>= 1
+        yield inside, outside
+
+
+def iter_cover_colorings(coloring: Sequence[int]) -> Iterator[tuple]:
+    """Canonical colorings of all one-class splits of a canonical coloring,
+    class by class, each in the order of :func:`_class_splits`."""
     # a canonical coloring numbers its classes in order of first occurrence
+    fresh = max(coloring) + 1
     for color in Counter(coloring):
-        rest = [i for i, c in enumerate(coloring) if c == color][1:]
-        fresh = max(coloring) + 1
-        for mask in range(1, 1 << len(rest)):
+        members = [i for i, c in enumerate(coloring) if c == color]
+        for _, outside in _class_splits(members):
             labels = list(coloring)
-            t = 0
-            while mask:
-                if mask & 1:
-                    labels[rest[t]] = fresh
-                mask >>= 1
-                t += 1
+            for i in outside:
+                labels[i] = fresh
             yield canonical_coloring(labels)
 
 

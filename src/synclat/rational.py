@@ -41,6 +41,13 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
 
 
+def _row(row):
+    """A matrix row; a string would otherwise be read digit by digit."""
+    if isinstance(row, str):
+        raise ValueError(f"matrix rows must be lists of entries, not the string {row!r}")
+    return row
+
+
 class RationalMatrix:
     """Immutable dense matrix over the rationals.
 
@@ -52,7 +59,9 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries", "_sparse_rows")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
-        grid = tuple(tuple(_to_fraction(x) for x in row) for row in entries)
+        if isinstance(entries, str):
+            raise ValueError(f"matrix entries must be a list of rows, not the string {entries!r}")
+        grid = tuple(tuple(map(_to_fraction, _row(row))) for row in entries)
         if not grid or not grid[0]:
             raise ValueError("matrix must have at least one row and one column")
         cols = len(grid[0])

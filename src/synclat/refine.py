@@ -173,6 +173,24 @@ def _pack(matrices: list, n: int) -> tuple:
     return (tuple(rows), tuple(base**c for c in range(n)), ones)
 
 
+def _filter_table(engine: tuple) -> tuple:
+    """The rows of F = W + K·W² for the packed weights W of the engine, with
+    K = 2·max_i sum_j |W_ij| + 1, each row the ``(j, F_ij)`` with F_ij != 0
+    in order of j; :mod:`synclat.lattice` filters splits with it."""
+    rows, _, ones = engine
+    if ones:
+        rows = [[(j, 1) for j in row] for row in rows]
+    k = 2 * max(sum(abs(w) for _, w in row) for row in rows) + 1
+    table = []
+    for row in rows:
+        weights = dict(row)
+        for j, w in row:
+            for t, x in rows[j]:
+                weights[t] = weights.get(t, 0) + k * w * x
+        table.append(tuple(sorted((j, x) for j, x in weights.items() if x)))
+    return tuple(table)
+
+
 def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:
     """One refinement pass: split every class by row key.
 

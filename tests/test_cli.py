@@ -6,7 +6,13 @@ import sys
 
 import pytest
 
-from synclat import NetworkConsistencyWarning, Partition, PartitionPair, graph_incidence
+from synclat import (
+    NetworkConsistencyWarning,
+    Partition,
+    PartitionPair,
+    cycle_graph,
+    graph_incidence,
+)
 from synclat.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -213,6 +219,16 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
     bad_network.write_text(json.dumps(network))
     code, out, err = run(capsys, "balanced", "--network", str(bad_network))
     assert code == 2 and out == "" and "2.7" in err
+    # string rows are rejected, not read digit by digit
+    for command, source, obj in (
+        ("lattice", "matrices", {"entries": ["110", "011", "101"]}),
+        ("lattice", "matrices", {"entries": ["10"]}),
+        ("tactical", "incidence", {"matrices": [["1100", "0110", "0011"]]}),
+    ):
+        strings = tmp_path / "strings.json"
+        strings.write_text(json.dumps(obj))
+        code, out, err = run(capsys, command, f"--{source}", str(strings))
+        assert code == 2 and out == "" and "string" in err
 
 
 def test_exit_code_3_on_cap(capsys, tmp_path):
@@ -344,6 +360,39 @@ def test_tactical_verify_skips_past_the_oracle_caps(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert verify_lines(err) == ["verify skipped (tactical): ground sets too large"]
+    # the same on the point side: a 13-point path
+    path13 = graph_incidence(13, [(i, i + 1) for i in range(1, 13)])
+    inc.write_text(json.dumps({"matrices": [path13.to_json_dict()["entries"]]}))
+    code, _, err = run(capsys, "verify", "--incidence", str(inc))
+    assert code == 0, err
+    assert verify_lines(err) == ["verify skipped (tactical): ground sets too large"]
+
+
+def test_square_verify_skips_past_the_oracle_cap(capsys, tmp_path):
+    # the oracle scans partitions of at most 10 points; an 11-cycle is
+    # skipped with its reason, not failed
+    cycle = tmp_path / "c11.json"
+    cycle.write_text(json.dumps(cycle_graph(11).to_json_dict()))
+    for argv, label in (
+        (["lattice", "--matrices", str(cycle), "--verify"], "lattice"),
+        (["cir", "--matrices", str(cycle), "--verify"], "cir"),
+        (["verify", "--matrices", str(cycle)], "lattice"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert verify_lines(err) == [f"verify skipped ({label}): n > 10"]
+
+
+def test_worker_count_does_not_depend_on_the_host(capsys, tmp_path, monkeypatch):
+    # --workers defaults to one inline worker on any host, so the JSON
+    # stats stay exact
+    cycle = tmp_path / "c14.json"
+    cycle.write_text(json.dumps(cycle_graph(14).to_json_dict()))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    code, out, err = run(capsys, "equitable", "--adjacency", str(cycle), "--format", "json")
+    assert code == 0, err
+    visited = json.loads(out)["stats"]["visited_partitions"]
+    assert isinstance(visited, int) and visited > 0
 
 
 def test_cayley_verify_compares_cosets_only_for_generating_sets(capsys, tmp_path):

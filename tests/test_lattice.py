@@ -14,6 +14,7 @@ from synclat import (
     bell_number,
     brute_invariant_set,
     complete_graph,
+    cycle_graph,
     filter_below,
     hasse_edges,
     invariant_lattice,
@@ -175,6 +176,20 @@ def test_posetalgo_stats(posetalgo_family):
     assert lat.stats.visited_exact
     assert lat.stats.popped == 4
     assert lat.stats.cir_calls == lat.stats.splits_examined + 1
+
+
+def test_visited_cap_saturates_the_count(monkeypatch):
+    import synclat.lattice as lattice
+
+    family = MatrixFamily([cycle_graph(8)])
+    full = invariant_lattice(family, workers=1)
+    assert (full.stats.visited_partitions, full.stats.visited_exact) == (132, True)
+    monkeypatch.setattr(lattice, "_VISITED_CAP", 5)
+    capped = invariant_lattice(family, workers=1)
+    # the tracker stops one partition past the cap and keeps that count
+    assert (capped.stats.visited_partitions, capped.stats.visited_exact) == (6, False)
+    assert capped.elements == full.elements
+    assert capped.cover_edges == full.cover_edges
 
 
 def test_stats_split_bound(fig1_family):

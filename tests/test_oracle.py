@@ -14,6 +14,7 @@ from synclat import (
     tactical_lattice,
     zeros,
 )
+from synclat.oracle import OracleLimit
 from conftest import M3_DIAG, M3_OTHER
 
 
@@ -64,6 +65,14 @@ def test_brute_size_caps():
         brute_invariant_set(MatrixFamily([zeros(11, 11)]))
     with pytest.raises(ValueError):
         brute_tactical_set(MatrixFamily([zeros(10, 10)]))
+    # the limit is a ValueError whose message is the reason the CLI prints
+    assert issubclass(OracleLimit, ValueError)
+    with pytest.raises(OracleLimit, match="^n > 10$"):
+        brute_invariant_set(MatrixFamily([zeros(11, 11)]))
+    # past MAX_ENUM_N the limit comes before the Bell-number lookup
+    for m, n in ((13, 1), (1, 13), (10, 10)):
+        with pytest.raises(OracleLimit, match="^ground sets too large$"):
+            brute_tactical_set(MatrixFamily([zeros(m, n)]))
 
 
 def test_brute_tactical_worked_examples(k13_family, tacticalex1_family):

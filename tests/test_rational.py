@@ -207,6 +207,10 @@ def test_json_rejects_floats_and_bad_shapes():
         RationalMatrix.from_json_dict({"rows": 3, "cols": 2, "entries": [[1, 2]]})
     with pytest.raises(ValueError):
         RationalMatrix.from_json_dict({"entries": [["nan"]]})
+    # a string row is no list of digits
+    for entries in (["110", "011", "101"], ["10"], "110"):
+        with pytest.raises(ValueError, match="string"):
+            RationalMatrix.from_json_dict({"entries": entries})
 
 
 def test_matrix_family_validation():
