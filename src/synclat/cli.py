@@ -22,11 +22,13 @@ Exit codes: 0 success, 2 parse or validation error, 3 element-cap abort,
 Input schemas (all indices 1-based on the wire):
 
 * matrix file: {"rows": m, "cols": n, "entries": [[...]]} where entries are
-  integers or "p/q" strings; a family is {"matrices": [matrix, ...]}.
+  integers or "p/q" strings; a family is {"matrices": [...]}, each item a
+  matrix object or a bare entries list.
 * network file: {"n": n, "cell_types": [c1..cn], "arrows":
   [{"from": j, "to": i, "color": c}, ...], "num_colors": r}.
 * group file: {"order": g, "table": [[...]], "generators": [...]}.
-* incidence file: {"points": m, "lines": n, "matrices": [[[0/1, ...]]]}.
+* incidence file: {"points": m, "lines": n, "matrices": [...]} as in a
+  family, with 0/1 entries; "points" and "lines" are checked if given.
 """
 
 from __future__ import annotations
@@ -92,28 +94,6 @@ def _reject_constant(token: str):
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh, parse_constant=_reject_constant)
-
-
-def _family_from_path(path: str) -> MatrixFamily:
-    obj = _load_json(path)
-    if isinstance(obj, dict) and "matrices" in obj:
-        mats = []
-        for item in obj["matrices"]:
-            if isinstance(item, dict):
-                mats.append(RationalMatrix.from_json_dict(item))
-            else:
-                mats.append(RationalMatrix.from_json_dict({"entries": item}))
-        return MatrixFamily(mats)
-    if isinstance(obj, dict):
-        return MatrixFamily([RationalMatrix.from_json_dict(obj)])
-    raise ValueError(f"{path}: expected a matrix object or a 'matrices' family")
-
-
-def _adjacency_from_path(path: str) -> RationalMatrix:
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a matrix object")
-    return RationalMatrix.from_json_dict(obj)
 
 
 def _group_from_path(path: str) -> tuple:
@@ -288,7 +268,7 @@ def _lattices(args) -> Iterator[tuple]:
             lfam = MatrixFamily([laplacian(m) for m in fam.matrices])
             yield "exo-balanced", lat, lfam, net.cell_types, None
     elif args.adjacency:
-        adjacency = _adjacency_from_path(args.adjacency)
+        adjacency = RationalMatrix.from_json_dict(_load_json(args.adjacency))
         if wants("equitable"):
             lat = equitable_partitions(adjacency, **kw)
             yield "equitable", lat, MatrixFamily([adjacency]), None, None
@@ -306,7 +286,7 @@ def _lattices(args) -> Iterator[tuple]:
             inc = IncidenceStructure.from_json_dict(_load_json(args.incidence))
             family = incidence_family(inc)
         else:
-            family = _family_from_path(args.matrices)
+            family = MatrixFamily.from_json_dict(_load_json(args.matrices))
         square = family.is_square and not args.incidence and args.command != "tactical"
         if args.command == "lattice" and not square:
             raise ValueError("the 'lattice' command needs square matrices; see 'tactical'")
@@ -333,7 +313,7 @@ def _cmd_lattices(args) -> int:
 
 
 def _cmd_cir(args) -> int:
-    family = _family_from_path(args.matrices)
+    family = MatrixFamily.from_json_dict(_load_json(args.matrices))
     if not family.is_square:
         raise ValueError("the 'cir' command needs square matrices")
     n = family.cols

@@ -70,7 +70,6 @@ weight from it under W, but under W² = diag(M M^T, M^T M) it does.
 
 from __future__ import annotations
 
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
@@ -200,27 +199,6 @@ class InvariantLattice:
         return out
 
 
-class _VisitedSet:
-    """Distinct-partition tracker with a saturation cap; :meth:`add` is the
-    ``on_step`` of :func:`synclat.refine._square_fixpoint`, which hands it
-    each start and step as a canonical coloring."""
-
-    def __init__(self, cap: int, n: int):
-        self.cap = cap
-        self.items: set = set()
-        self.exact = True
-        # colors are bounded by the ground-set size, so byte strings are a
-        # compact set key
-        self.compact = n < 256
-
-    def add(self, coloring: tuple) -> None:
-        """Add a partition given as its canonical coloring."""
-        if self.exact:
-            self.items.add(bytes(coloring) if self.compact else coloring)
-            if len(self.items) > self.cap:
-                self.exact = False
-
-
 def invariant_lattice(
     family: MatrixFamily,
     *,
@@ -289,8 +267,17 @@ def _search(
         raise ValueError("workers must be >= 1")
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
-    visited = _VisitedSet(_VISITED_CAP, len(start)) if workers == 1 else None
-    on_step = visited.add if visited is not None else None
+    visited: set = set()  # the canonical colorings that refinements report
+    on_step = None
+    if workers == 1:
+        # colors are bounded by the ground-set size, so byte strings are a
+        # compact set key; the set stops growing one item past the cap
+        cap, compact = _VISITED_CAP, len(start) < 256
+
+        def on_step(coloring: tuple) -> None:
+            if len(visited) <= cap:
+                visited.add(bytes(coloring) if compact else coloring)
+
     top = _square_fixpoint(engine, *_start_state(start), on_step)
     seen = {top: top}  # the one stored instance of each element
     covers = []  # (coarser, finer) pairs of instances stored in seen
@@ -309,10 +296,9 @@ def _search(
         level = [top]
         while level:
             fresh: list = []  # the next level, in order of discovery
-            for i, (element, (found, examined)) in enumerate(zip(level, run(level))):
+            for i, (element, (found, examined, skipped)) in enumerate(zip(level, run(level))):
                 splits += examined
-                sizes = Counter(element).values()
-                pruned += sum((1 << (size - 1)) - 1 for size in sizes) - examined
+                pruned += skipped
                 for fixpoint in found:
                     if fixpoint not in seen:
                         seen[fixpoint] = fixpoint
@@ -332,8 +318,8 @@ def _search(
         splits_pruned=pruned,
         queue_peak=queue_peak,
         popped=len(seen),  # every element found is expanded once
-        visited_partitions=len(visited.items) if visited is not None else None,
-        visited_exact=visited is not None and visited.exact,
+        visited_partitions=len(visited) if workers == 1 else None,
+        visited_exact=workers == 1 and len(visited) <= _VISITED_CAP,
     )
     elements = sorted(seen)
     index = {element: i for i, element in enumerate(elements)}
@@ -361,8 +347,9 @@ def _run_task(
 ) -> tuple:
     """Refine the splits of one element that pass the filter on F's rows
     ``table`` (see :func:`_witnesses`); returns the fixpoints of the chains
-    that kept their witness, in order of first appearance, and the number of
-    splits refined.  ``on_step`` is passed to every refinement.
+    that kept their witness, in order of first appearance, the number of
+    splits refined and the number the filter skipped.  ``on_step`` is passed
+    to every refinement.
 
     Each split starts from a copy of the element's working state: its class
     X becomes the witness S, which holds X's smallest member, and the fresh
@@ -388,7 +375,8 @@ def _run_task(
             )
             if fixpoint is not None:
                 found[fixpoint] = None
-    return found, examined
+    skipped = sum((1 << (len(members) - 1)) - 1 for members in classes) - examined
+    return found, examined, skipped
 
 
 def _witnesses(table: tuple, col: list, members: list) -> Iterator[tuple]:

@@ -77,6 +77,7 @@ class ColoredNetwork:
         cell_types: Optional[Partition] = None,
         num_colors: Optional[int] = None,
     ):
+        n = _index(n)
         if n < 1:
             raise ValueError("network needs at least one cell")
         if cell_types is None:
@@ -92,9 +93,8 @@ class ColoredNetwork:
             if c < 1:
                 raise ValueError(f"arrow color {c} must be positive")
         max_used = max((c for _, _, c in arrows), default=1)
-        if num_colors is None:
-            num_colors = max_used
-        elif num_colors < max_used:
+        num_colors = max_used if num_colors is None else _index(num_colors)
+        if num_colors < max_used:
             raise ValueError(f"num_colors={num_colors} below largest used color {max_used}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cell_types", cell_types)
@@ -128,9 +128,8 @@ class ColoredNetwork:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ColoredNetwork":
         n = obj["n"]
-        cell_types = (
-            Partition(obj["cell_types"]) if obj.get("cell_types") else None
-        )
+        types = obj.get("cell_types")
+        cell_types = Partition([_index(c) for c in types]) if types else None
         arrows = [(a["from"], a["to"], a.get("color", 1)) for a in obj["arrows"]]
         return cls(n, arrows, cell_types=cell_types, num_colors=obj.get("num_colors"))
 
@@ -460,7 +459,8 @@ class IncidenceStructure:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "IncidenceStructure":
-        inc = cls(obj["matrices"])
+        """Matrices as in :meth:`MatrixFamily.from_json_dict`."""
+        inc = cls(MatrixFamily.from_json_dict(obj).matrices)
         if "points" in obj and obj["points"] != inc.points:
             raise ValueError("declared point count does not match matrices")
         if "lines" in obj and obj["lines"] != inc.lines:

@@ -90,6 +90,19 @@ class MatrixFamily:
     def __repr__(self) -> str:
         return f"MatrixFamily({len(self.matrices)} matrices, {self.rows}x{self.cols})"
 
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "MatrixFamily":
+        """A family ``{"matrices": [...]}``, each item a matrix object or a
+        bare ``entries`` list, or one matrix object."""
+        if not isinstance(obj, dict):
+            raise ValueError("expected a matrix object or a 'matrices' family")
+        if "matrices" not in obj:
+            return cls([RationalMatrix.from_json_dict(obj)])
+        return cls([
+            RationalMatrix.from_json_dict(m if isinstance(m, dict) else {"entries": m})
+            for m in obj["matrices"]
+        ])
+
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -229,6 +229,33 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         strings.write_text(json.dumps(obj))
         code, out, err = run(capsys, command, f"--{source}", str(strings))
         assert code == 2 and out == "" and "string" in err
+    # network counts and cell-type labels are indices too
+    arrow = [{"from": 1, "to": 2}]
+    for obj, shown in (
+        ({"n": 3, "cell_types": [1, True, 2], "arrows": arrow}, "True"),
+        ({"n": 3, "cell_types": [1, 1.5, 2], "arrows": arrow}, "1.5"),
+        ({"n": True, "arrows": [{"from": 1, "to": 1}]}, "True"),
+        ({"n": 2, "num_colors": True, "arrows": arrow}, "True"),
+    ):
+        bad_network.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "balanced", "--network", str(bad_network))
+        assert code == 2 and out == "" and shown in err
+
+
+def test_incidence_matrices_may_be_matrix_objects(capsys, tmp_path):
+    with open(path("k13.json")) as fh:
+        bare = json.load(fh)
+    objects = dict(bare, matrices=[{"entries": m} for m in bare["matrices"]])
+    k13 = tmp_path / "k13_objects.json"
+    k13.write_text(json.dumps(objects))
+    for fmt in ("text", "json", "dot"):
+        want = run(capsys, "tactical", "--incidence", path("k13.json"), "--format", fmt)
+        got = run(capsys, "tactical", "--incidence", str(k13), "--format", fmt)
+        assert got == want and got[0] == 0
+    objects["matrices"][0]["entries"][0][0] = 2
+    k13.write_text(json.dumps(objects))
+    code, out, err = run(capsys, "tactical", "--incidence", str(k13))
+    assert code == 2 and out == "" and "incidence entries must be 0/1" in err
 
 
 def test_exit_code_3_on_cap(capsys, tmp_path):
@@ -319,6 +346,7 @@ ONE_PATH_CASES = [
     ("matrices", "bad_float.json", ["lattice"]),
     ("incidence", "k13.json", ["tactical"]),
     ("incidence", "fano.json", ["tactical"]),
+    ("incidence", "cipnet.json", ["tactical"]),
     ("network", "balex2.json", ["balanced", "exo-balanced"]),
     ("network", "forpath.json", ["balanced", "exo-balanced"]),
     ("adjacency", "path4.json", ["equitable", "almost-equitable"]),

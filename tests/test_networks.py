@@ -484,6 +484,14 @@ def test_float_and_bool_indices_are_rejected():
         ColoredNetwork(3, [(2.7, 1, 1)])
     with pytest.raises(ValueError, match="True"):
         ColoredNetwork(3, [(1, 2, True)])
+    with pytest.raises(ValueError, match="True"):
+        ColoredNetwork(True, [(1, 1, 1)])
+    with pytest.raises(ValueError, match="True"):
+        ColoredNetwork(2, [(1, 2, 1)], num_colors=True)
+    for labels, shown in (([1, True, 2], "True"), ([1, 1.5, 2], "1.5")):
+        obj = {"n": 3, "cell_types": labels, "arrows": [{"from": 1, "to": 2}]}
+        with pytest.raises(ValueError, match=shown):
+            ColoredNetwork.from_json_dict(obj)
     with pytest.raises(ValueError, match="1.0"):
         GroupTable([[0, 1], [1, 1.0]])
     with pytest.raises(ValueError, match="False"):

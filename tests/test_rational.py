@@ -220,3 +220,10 @@ def test_matrix_family_validation():
         MatrixFamily([identity(2), identity(3)])
     fam = MatrixFamily([identity(2)])
     assert fam.is_square and len(fam) == 1
+    # JSON: each item a matrix object or a bare entries list, or one matrix
+    eye = {"entries": [[1, 0], [0, 1]]}
+    both = MatrixFamily.from_json_dict({"matrices": [eye, eye["entries"]]})
+    assert both == MatrixFamily([identity(2), identity(2)])
+    assert MatrixFamily.from_json_dict(eye) == fam
+    with pytest.raises(ValueError):
+        MatrixFamily.from_json_dict([eye])
