@@ -28,7 +28,10 @@ Input schemas (all indices 1-based on the wire):
   [{"from": j, "to": i, "color": c}, ...], "num_colors": r}.
 * group file: {"order": g, "table": [[...]], "generators": [...]}.
 * incidence file: {"points": m, "lines": n, "matrices": [...]} as in a
-  family, with 0/1 entries; "points" and "lines" are checked if given.
+  family, with 0/1 entries.
+
+The declared counts "rows", "cols", "order", "points" and "lines" may be
+left out; if given, each must be an integer equal to what it counts.
 """
 
 from __future__ import annotations
@@ -94,15 +97,6 @@ def _reject_constant(token: str):
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh, parse_constant=_reject_constant)
-
-
-def _group_from_path(path: str) -> tuple:
-    obj = _load_json(path)
-    group = GroupTable.from_json_dict(obj)
-    generators = obj.get("generators")
-    if not generators:
-        raise ValueError(f"{path}: group file needs a nonempty 'generators' list")
-    return group, generators
 
 
 def _verify(
@@ -276,7 +270,9 @@ def _lattices(args) -> Iterator[tuple]:
             lat = almost_equitable_partitions(adjacency, **kw)
             yield "almost-equitable", lat, MatrixFamily([laplacian(adjacency)]), None, None
     elif args.group:
-        group, generators = _group_from_path(args.group)
+        obj = _load_json(args.group)
+        group = GroupTable.from_json_dict(obj)
+        generators = obj.get("generators") or []
         net = cayley_network(group, generators)
         lat = balanced_partitions(net, **kw)
         cosets = partial(_verify_cosets, group, generators)
@@ -348,7 +344,7 @@ def main(argv=None) -> int:
     except ElementCapExceeded as exc:
         print(f"synclat: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"synclat: {exc}", file=sys.stderr)
         return 2
 

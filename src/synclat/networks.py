@@ -34,16 +34,8 @@ from typing import Iterable, Optional, Sequence
 
 from .lattice import InvariantLattice, _invariant_below, invariant_lattice
 from .partition import Partition
-from .rational import RationalMatrix
+from .rational import RationalMatrix, _check_declared, _index
 from .refine import MatrixFamily
-
-
-def _index(x) -> int:
-    """An index read from outside input; floats and booleans are rejected,
-    not truncated."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"indices must be integers, got {x!r}")
-    return x
 
 
 class NetworkConsistencyWarning(UserWarning):
@@ -227,7 +219,10 @@ def exo_balanced_partitions(net: ColoredNetwork, **kwargs) -> InvariantLattice:
     return _invariant_below(fam, net.cell_types, **kwargs)
 
 
-def _check_simple_graph(adjacency: RationalMatrix) -> None:
+def _check_simple_graph(adjacency) -> RationalMatrix:
+    """The adjacency as a matrix, checked to be a simple graph's."""
+    if not isinstance(adjacency, RationalMatrix):
+        adjacency = RationalMatrix(adjacency)
     if adjacency.rows != adjacency.cols:
         raise ValueError("adjacency matrix must be square")
     for i, row in enumerate(adjacency.entries):
@@ -238,24 +233,19 @@ def _check_simple_graph(adjacency: RationalMatrix) -> None:
                 raise ValueError("simple graph cannot have loops")
             if x != adjacency.entries[j][i]:
                 raise ValueError("simple-graph adjacency must be symmetric")
+    return adjacency
 
 
 def equitable_partitions(adjacency, **kwargs) -> InvariantLattice:
     """Vertex partitions of a simple graph with constant class-to-class
     degrees; exactly the invariant partitions of the adjacency matrix."""
-    if not isinstance(adjacency, RationalMatrix):
-        adjacency = RationalMatrix(adjacency)
-    _check_simple_graph(adjacency)
-    return invariant_lattice(MatrixFamily([adjacency]), **kwargs)
+    return invariant_lattice(MatrixFamily([_check_simple_graph(adjacency)]), **kwargs)
 
 
 def almost_equitable_partitions(adjacency, **kwargs) -> InvariantLattice:
     """Like equitable, but degrees toward the own class are unconstrained;
     exactly the invariant partitions of the graph Laplacian."""
-    if not isinstance(adjacency, RationalMatrix):
-        adjacency = RationalMatrix(adjacency)
-    _check_simple_graph(adjacency)
-    return invariant_lattice(MatrixFamily([laplacian(adjacency)]), **kwargs)
+    return invariant_lattice(MatrixFamily([laplacian(_check_simple_graph(adjacency))]), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +351,7 @@ class GroupTable(object):
         # 1-based element indices on the wire
         table = [[_index(x) - 1 for x in row] for row in obj["table"]]
         group = cls(table)
-        if "order" in obj and obj["order"] != group.order:
-            raise ValueError("declared order does not match table size")
+        _check_declared(obj, "order", group.order)
         return group
 
 
@@ -461,10 +450,8 @@ class IncidenceStructure:
     def from_json_dict(cls, obj: dict) -> "IncidenceStructure":
         """Matrices as in :meth:`MatrixFamily.from_json_dict`."""
         inc = cls(MatrixFamily.from_json_dict(obj).matrices)
-        if "points" in obj and obj["points"] != inc.points:
-            raise ValueError("declared point count does not match matrices")
-        if "lines" in obj and obj["lines"] != inc.lines:
-            raise ValueError("declared line count does not match matrices")
+        _check_declared(obj, "points", inc.points)
+        _check_declared(obj, "lines", inc.lines)
         return inc
 
 
@@ -529,7 +516,8 @@ def graph_incidence(n: int, edges: Sequence) -> RationalMatrix:
     """Vertex-edge incidence matrix of a graph: rows are vertices 1..n,
     columns follow the given edge order."""
     cols = []
-    for a, b in edges:
+    for edge in edges:
+        a, b = map(_index, edge)
         if not (1 <= a <= n and 1 <= b <= n) or a == b:
             raise ValueError(f"bad edge ({a}, {b})")
         cols.append((a, b))

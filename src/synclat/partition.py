@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .rational import RationalMatrix
+from .rational import RationalMatrix, _check_declared, _index
 
 
 def canonical_coloring(labels: Sequence[int]) -> tuple:
@@ -69,7 +69,7 @@ class Partition:
         labels = [0] * n
         seen = 0
         for idx, cl in enumerate(classes, start=1):
-            for el in cl:
+            for el in map(_index, cl):
                 if not 1 <= el <= n:
                     raise ValueError(f"element {el} out of range 1..{n}")
                 if labels[el - 1]:
@@ -191,9 +191,8 @@ class Partition:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Partition":
-        coloring = obj["coloring"]
-        if "n" in obj and obj["n"] != len(coloring):
-            raise ValueError("declared n does not match coloring length")
+        coloring = [_index(c) for c in obj["coloring"]]
+        _check_declared(obj, "n", len(coloring))
         p = cls(coloring)
         if tuple(coloring) != p.coloring:
             raise ValueError(f"coloring {coloring} is not in canonical form")
@@ -201,8 +200,8 @@ class Partition:
 
 
 def _check_n(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"ground set size must be a positive integer, got {n}")
+    if _index(n) < 1:
+        raise ValueError(f"ground set size must be positive, got {n}")
     return n
 
 

@@ -41,6 +41,21 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
 
 
+def _index(x) -> int:
+    """An integer read from outside input: an index, a size or a declared
+    count.  Floats and booleans are rejected, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer index, size or count, got {x!r}")
+    return x
+
+
+def _check_declared(obj: dict, key: str, actual: int) -> None:
+    """A count that a JSON object may declare must be an integer equal to
+    what it counts."""
+    if key in obj and _index(obj[key]) != actual:
+        raise ValueError(f"declared {key}={obj[key]} but the input has {actual}")
+
+
 def _row(row):
     """A matrix row; a string would otherwise be read digit by digit."""
     if isinstance(row, str):
@@ -113,18 +128,13 @@ class RationalMatrix:
     def from_json_dict(cls, obj: dict) -> "RationalMatrix":
         if not isinstance(obj, dict) or "entries" not in obj:
             raise ValueError("matrix JSON must be an object with an 'entries' field")
-        for key in ("rows", "cols"):
-            if key in obj and not isinstance(obj[key], int):
-                raise ValueError(f"matrix JSON field {key!r} must be an integer")
         for row in obj["entries"]:
             for x in row:
                 if isinstance(x, float):
                     raise ValueError("float matrix entries are not accepted; use 'p/q' strings")
         mat = cls(obj["entries"])
-        if "rows" in obj and obj["rows"] != mat.rows:
-            raise ValueError(f"declared rows={obj['rows']} but entries have {mat.rows} rows")
-        if "cols" in obj and obj["cols"] != mat.cols:
-            raise ValueError(f"declared cols={obj['cols']} but entries have {mat.cols} columns")
+        _check_declared(obj, "rows", mat.rows)
+        _check_declared(obj, "cols", mat.cols)
         return mat
 
 
@@ -185,7 +195,7 @@ def colored_product(matrix: RationalMatrix, coloring: Sequence[int]) -> Rational
         raise ValueError(
             f"coloring length {len(coloring)} does not match {matrix.cols} columns"
         )
-    if any(not isinstance(c, int) or c < 1 for c in coloring):
+    if any(_index(c) < 1 for c in coloring):
         raise ValueError("coloring entries must be positive integers")
     k = max(coloring)
     out = [[Fraction(0)] * k for _ in range(matrix.rows)]

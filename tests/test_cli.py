@@ -240,6 +240,24 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         bad_network.write_text(json.dumps(obj))
         code, out, err = run(capsys, "balanced", "--network", str(bad_network))
         assert code == 2 and out == "" and shown in err
+    # a group file needs its generators
+    del group["generators"]
+    bad_group.write_text(json.dumps(group))
+    code, out, err = run(capsys, "cayley", "--group", str(bad_group))
+    assert code == 2 and out == "" and "nonempty" in err
+    # declared counts are integers too, not just equal to what they count
+    with open(path("q8.json")) as fh:
+        group = json.load(fh)
+    group["order"] = 8.0
+    declared = tmp_path / "declared.json"
+    for command, source, obj, shown in (
+        ("cayley", "group", group, "8.0"),
+        ("tactical", "incidence", {"points": True, "matrices": [[[1, 1]]]}, "True"),
+        ("lattice", "matrices", {"rows": True, "entries": [[1]]}, "True"),
+    ):
+        declared.write_text(json.dumps(obj))
+        code, out, err = run(capsys, command, f"--{source}", str(declared))
+        assert code == 2 and out == "" and shown in err
 
 
 def test_incidence_matrices_may_be_matrix_objects(capsys, tmp_path):

@@ -16,6 +16,7 @@ from synclat import (
     bell_number,
     cayley_network,
     cell_types_to_loops,
+    colored_product,
     complete_graph,
     cycle_graph,
     equitable_partitions,
@@ -23,6 +24,7 @@ from synclat import (
     filter_below,
     graph_incidence,
     grid_graph,
+    identity,
     incidence_family,
     invariant_lattice,
     laplacian,
@@ -501,6 +503,31 @@ def test_float_and_bool_indices_are_rejected():
         cayley_network(q8, [2.9, 3])
     with pytest.raises(ValueError, match="True"):
         cayley_network(q8, [True])
+    # so are declared counts, sizes, partition elements and coloring labels
+    order = dict(q8.to_json_dict(), order=8.0)
+    order["table"] = [[x + 1 for x in row] for row in order["table"]]
+    with pytest.raises(ValueError, match="8.0"):
+        GroupTable.from_json_dict(order)
+    with pytest.raises(ValueError, match="True"):
+        IncidenceStructure.from_json_dict({"points": True, "matrices": [[[1, 1]]]})
+    with pytest.raises(ValueError, match="2.0"):
+        IncidenceStructure.from_json_dict({"lines": 2.0, "matrices": [[[1, 1]]]})
+    with pytest.raises(ValueError, match="True"):
+        RationalMatrix.from_json_dict({"rows": True, "entries": [[1, 2]]})
+    with pytest.raises(ValueError, match="True"):
+        Partition.singleton(True)
+    for classes, shown in (([[True, 2], [3]], "True"), ([[1.0, 2], [3]], "1.0")):
+        with pytest.raises(ValueError, match=shown):
+            Partition.from_classes(3, classes)
+    with pytest.raises(ValueError, match="3.0"):
+        Partition.from_json_dict({"n": 3.0, "coloring": [1, 1, 2]})
+    with pytest.raises(ValueError, match="1.0"):
+        Partition.from_json_dict({"coloring": [1, 1.0, 2]})
+    for edge, shown in (((True, 2), "True"), ((1.0, 2), "1.0")):
+        with pytest.raises(ValueError, match=shown):
+            graph_incidence(3, [edge])
+    with pytest.raises(ValueError, match="True"):
+        colored_product(identity(2), (True, 2))
 
 
 def test_group_json_round_trip():
