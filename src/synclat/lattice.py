@@ -59,13 +59,15 @@ lower covers of E are therefore exactly the maximal elements among its kept
 results.  Every element is reached from the top through covers, so the
 elements are the same too.  The S that pass the filter are found by lazy
 backtracking over X in breadth-first order from x0: a member of S is checked
-once it and all its in-neighbours in X are decided.  When the weights inside
-X are uniform (one diagonal value d, and either no off-diagonal weight or one
-value w on every off-diagonal pair), each i in S gets d + (|S| - 1)w, every S
-passes, and the splits are the plain masks without checks.  That holds for
-every class of K_n, since W = J - I and W² = (n - 2)J + I are uniform on
-every class.  A class of a tactical search lies on one side and gets no
-weight from it under W, but under W² = diag(M M^T, M^T M) it does.
+once it and all its in-neighbours in X are decided.  The backtracking is one
+loop over an explicit stack, so a class of any size is searched without
+recursion.  When the weights inside X are uniform (one diagonal value d, and
+either no off-diagonal weight or one value w on every off-diagonal pair),
+each i in S gets d + (|S| - 1)w, every S passes, and the splits are the
+plain masks without checks.  That holds for every class of K_n, since
+W = J - I and W² = (n - 2)J + I are uniform on every class.  A class of a
+tactical search lies on one side and gets no weight from it under W, but
+under W² = diag(M M^T, M^T M) it does.
 """
 
 from __future__ import annotations
@@ -387,7 +389,8 @@ def _witnesses(table: tuple, col: list, members: list) -> Iterator[tuple]:
 
     A class with uniform weights yields every split, in the order of
     :func:`synclat.partition._class_splits`.  Any other class is searched by
-    lazy backtracking in breadth-first order from x0 along in-weights.
+    lazy backtracking in breadth-first order from x0 along in-weights, each
+    member taken before it is left out, as one loop over an explicit stack.
     """
     size = len(members)
     inner = {}  # i -> [(j, F_ij)] for j in X
@@ -417,30 +420,28 @@ def _witnesses(table: tuple, col: list, members: list) -> Iterator[tuple]:
     ready: list = [[] for _ in order]
     for i in members:
         ready[max([depth_of[i]] + [depth_of[j] for j, _ in inner[i]])].append(i)
-    in_s = dict.fromkeys(members, False)
-
-    def extend(depth: int, target: Optional[int]) -> Iterator[tuple]:
-        if depth == size:
+    # (depth, take, common in-weight); "leave" is pushed below "take", and a
+    # check at a depth reads only members the current path has decided
+    in_s: dict = {}
+    stack: list = [(0, True, None)]  # x0 is always in S
+    while stack:
+        depth, take, value = stack.pop()
+        in_s[order[depth]] = take
+        for k in ready[depth]:
+            if in_s[k]:
+                weight = sum(w for j, w in inner[k] if in_s[j])
+                if value is None:
+                    value = weight
+                elif weight != value:
+                    break
+        else:
+            depth += 1
+            if depth < size:
+                stack += (depth, False, value), (depth, True, value)
+                continue
             inside = [i for i in members if in_s[i]]
             if len(inside) < size:
                 yield inside, [i for i in members if not in_s[i]]
-            return
-        i = order[depth]
-        for take in (True, False) if depth else (True,):
-            in_s[i] = take
-            value = target
-            for k in ready[depth]:
-                if in_s[k]:
-                    weight = sum(w for j, w in inner[k] if in_s[j])
-                    if value is None:
-                        value = weight
-                    elif weight != value:
-                        break
-            else:
-                yield from extend(depth + 1, value)
-        in_s[i] = False
-
-    yield from extend(0, None)
 
 
 # Pool workers receive the engine and the filter table once, through the

@@ -465,21 +465,23 @@ def incidence_family(inc: IncidenceStructure) -> MatrixFamily:
 # small graph generators used by tests, demos, and the docs
 
 
-def path_graph(n: int) -> RationalMatrix:
+def _simple_graph(n: int, edges: Iterable) -> RationalMatrix:
+    """Adjacency matrix of the simple graph on vertices 0..n-1 with the given
+    0-based edges."""
     grid = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        grid[i][i + 1] = grid[i + 1][i] = 1
+    for a, b in edges:
+        grid[a][b] = grid[b][a] = 1
     return RationalMatrix(grid)
+
+
+def path_graph(n: int) -> RationalMatrix:
+    return _simple_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> RationalMatrix:
     if n < 3:
         raise ValueError("cycle graph needs at least 3 vertices")
-    grid = [[0] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][(i + 1) % n] = 1
-        grid[(i + 1) % n][i] = 1
-    return RationalMatrix(grid)
+    return _simple_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> RationalMatrix:
@@ -488,28 +490,14 @@ def complete_graph(n: int) -> RationalMatrix:
 
 def grid_graph(m: int, n: int) -> RationalMatrix:
     """Cartesian product of two paths, vertices numbered row-major."""
-    size = m * n
-    grid = [[0] * size for _ in range(size)]
-
-    def at(r: int, c: int) -> int:
-        return r * n + c
-
-    for r in range(m):
-        for c in range(n):
-            if c + 1 < n:
-                grid[at(r, c)][at(r, c + 1)] = grid[at(r, c + 1)][at(r, c)] = 1
-            if r + 1 < m:
-                grid[at(r, c)][at(r + 1, c)] = grid[at(r + 1, c)][at(r, c)] = 1
-    return RationalMatrix(grid)
+    across = [(r * n + c, r * n + c + 1) for r in range(m) for c in range(n - 1)]
+    down = [(r * n + c, (r + 1) * n + c) for r in range(m - 1) for c in range(n)]
+    return _simple_graph(m * n, across + down)
 
 
 def star_graph(leaves: int) -> RationalMatrix:
     """Star with the center as vertex 1 and the given number of leaves."""
-    n = leaves + 1
-    grid = [[0] * n for _ in range(n)]
-    for leaf in range(1, n):
-        grid[0][leaf] = grid[leaf][0] = 1
-    return RationalMatrix(grid)
+    return _simple_graph(leaves + 1, [(0, leaf) for leaf in range(1, leaves + 1)])
 
 
 def graph_incidence(n: int, edges: Sequence) -> RationalMatrix:

@@ -12,7 +12,7 @@ import os
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, product
 
 from synclat import (
     MatrixFamily,
@@ -37,7 +37,7 @@ from synclat import (
 from synclat.lattice import _filter_table, _invariant_below, _witnesses
 from synclat.networks import network_from_adjacencies
 from synclat.partition import iter_cover_colorings
-from synclat.refine import _start_state
+from synclat.refine import _pack, _start_state
 from test_tactical import petersen_incidence, rand_rect_family
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -283,3 +283,83 @@ def test_filter_passes_the_witness_of_every_brute_force_cover():
                         assert (witness, sorted(set(members) - set(witness))) in splits
                         checked += 1
     assert checked > 100
+
+
+def cycle_engine(n):
+    """The engine of C_n, packed from its sparse rows: the dense adjacency
+    of C_3000 holds nine million Fractions and takes seconds to build."""
+    return _pack([[[((i - 1) % n, 1), ((i + 1) % n, 1)] for i in range(n)]], n)
+
+
+def test_large_classes_are_searched_without_recursion():
+    assert cycle_engine(12) == MatrixFamily([cycle_graph(12)]).engine()
+    # a search with one frame per member would run out of stack here
+    for n in (1100, 3000):
+        table = _filter_table(cycle_engine(n))
+        members = list(range(n))
+        splits = list(islice(_witnesses(table, [0] * n, members), 5))
+        assert len(splits) == 5
+        for inside, outside in splits:
+            assert inside[0] == 0 and outside
+            assert sorted(inside + outside) == members
+            in_s = set(inside)
+            assert len({sum(w for j, w in table[i] if j in in_s) for i in inside}) == 1
+
+
+def breadth_first(table, members):
+    """X's members from x0, component by component in member order, each
+    followed by its in-neighbours within X in increasing index."""
+    order, head = [], 0
+    for root in members:
+        if root not in order:
+            order.append(root)
+        while head < len(order):
+            row = table[order[head]]
+            order += [j for j, _ in row if j in members and j not in order]
+            head += 1
+    return order
+
+
+def witnesses_by_product(table, members):
+    """Every S that holds x0, is not X and gives each of its members the
+    same in-weight under F, in the order of the members' choices along the
+    breadth-first order, each member taken before it is left out."""
+    first, *rest = breadth_first(table, members)
+    splits = []
+    for bits in product((True, False), repeat=len(rest)):
+        inside = {first} | {i for i, take in zip(rest, bits) if take}
+        weights = {sum(w for j, w in table[i] if j in inside) for i in inside}
+        if len(inside) < len(members) and len(weights) == 1:
+            splits.append((sorted(inside), sorted(set(members) - inside)))
+    return splits
+
+
+def uniform(table, members):
+    """One diagonal and one off-diagonal weight (zero included) under F
+    inside X: such a class yields the plain masks, unchecked."""
+    weight = {(i, j): w for i in members for j, w in table[i]}
+    diagonal = {weight.get((i, i), 0) for i in members}
+    off = {weight.get((i, j), 0) for i in members for j in members if i != j}
+    return len(diagonal) == len(off) == 1
+
+
+def test_witnesses_come_in_breadth_first_take_before_leave_order():
+    # the order of the refined splits moves queue_peak and the JSON stdout
+    rng = random.Random(21)
+    checked = several = 0
+    for _ in range(8):
+        for family in (
+            planted_family(rng, rng.randint(3, 12)),
+            symmetric_circulant_family(rng, rng.randint(4, 12)),
+        ):
+            table = _filter_table(family.engine())
+            for element in invariant_lattice(family).elements:
+                col, classes = _start_state(element.coloring)
+                for members in classes:
+                    if not 3 <= len(members) <= 12 or uniform(table, members):
+                        continue
+                    expected = witnesses_by_product(table, members)
+                    assert list(_witnesses(table, col, members)) == expected
+                    checked += 1
+                    several += len(expected) > 1
+    assert checked > 50 and several > 20
