@@ -57,26 +57,39 @@ Nothing is lost.  Every lower cover of E is still found, from its own S, and
 every kept result is strictly below E and so below some lower cover; the
 lower covers of E are therefore exactly the maximal elements among its kept
 results.  Every element is reached from the top through covers, so the
-elements are the same too.  The S that pass the filter are found by lazy
-backtracking over X in breadth-first order from x0: a member of S is checked
-once it and all its in-neighbours in X are decided.  The backtracking is one
-loop over an explicit stack, so a class of any size is searched without
-recursion.  When the weights inside X are uniform (one diagonal value d, and
-either no off-diagonal weight or one value w on every off-diagonal pair),
-each i in S gets d + (|S| - 1)w, every S passes, and the splits are the
-plain masks without checks.  That holds for every class of K_n, since
-W = J - I and W² = (n - 2)J + I are uniform on every class.  A class of a
-tactical search lies on one side and gets no weight from it under W, but
-under W² = diag(M M^T, M^T M) it does.
+elements are the same too.  A split Q that is already an element is
+invariant, so cir(Q) = Q, and S is a class of Q, so the guard holds: the
+refinement would return Q itself.  The search therefore answers such a split
+with one lookup among the elements already found (inline, all of them; in a
+pool worker, those it has returned) and runs no pass.  It still counts as a
+refined split, since its cir is known exactly, and its partition was already
+reported as the last step of the refinement that found it.  On K_n every
+split is an element, so an inline search refines each element once.
+
+The S that pass the filter are found by lazy backtracking over X in
+breadth-first order from x0: a member of S is checked once it and all its
+in-neighbours in X are decided.  The backtracking is one loop over an
+explicit stack, so a class of any size is searched without recursion.  When
+the weights inside X are uniform (one diagonal value d, and either no
+off-diagonal weight or one value w on every off-diagonal pair), each i in S
+gets d + (|S| - 1)w, every S passes, and the splits are the plain masks
+without checks.  That holds for every class of K_n, since W = J - I and
+W² = (n - 2)J + I are uniform on every class.  A class of a tactical search
+lies on one side and gets no weight from it under W, but under
+W² = diag(M M^T, M^T M) it does.  Uniformity reads only the weights inside
+X, so it depends only on X's members: each search (each pool worker) keeps
+the member tuples of the classes it found uniform and does not read their
+weights again.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .partition import Partition, PartitionPair, _class_splits, _refines
 from .refine import (
@@ -123,8 +136,11 @@ class LatticeStats:
     ``splits_examined`` counts the one-class splits that were refined and
     ``splits_pruned`` those the filter skipped, whose witness gets unequal
     in-weights under W or under W² (see the module docstring); together
-    they are the sum of 2^(s-1) - 1 over the classes of every element.
-    ``cir_calls`` is ``splits_examined`` plus the top.
+    they are the sum of 2^(s-1) - 1 over the classes of every element.  A
+    split that is already an element is answered without a refinement pass
+    but counts as examined, since its cir is known exactly, so the counts do
+    not depend on the worker count.  ``cir_calls`` is ``splits_examined``
+    plus the top.
 
     The counts describe the search that ran: for balanced and exo-balanced
     partitions, the search below the cell types, not the whole lattice.
@@ -261,9 +277,9 @@ def _search(
     edges as sorted (coarser, finer) index pairs into the elements.
 
     The walk goes level by level: the elements of a level go to one ``map``
-    (builtin and lazy inline, the pool's otherwise) and their results come
-    back in order, so each element's lower covers are the maxima of its kept
-    fixpoints.
+    (builtin and lazy inline, the pool's otherwise, in about four chunks per
+    worker) and their results come back in order, so each element's lower
+    covers are the maxima of its kept fixpoints.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -288,12 +304,17 @@ def _search(
     table = _filter_table(engine)
     pool = None
     if workers == 1:
-        run = partial(map, partial(_run_task, engine, table, on_step=on_step))
+        # the builtin map is lazy, so each task starts once the results
+        # before it are read and seen holds every element found so far
+        run = partial(map, partial(_run_task, engine, table, seen, set(), on_step=on_step))
     else:
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(engine, table)
         )
-        run = partial(pool.map, _pool_run_task)
+
+        def run(level: list) -> Iterator[tuple]:
+            chunk = math.ceil(len(level) / (4 * workers))
+            return pool.map(_pool_run_task, level, chunksize=chunk)
     try:
         level = [top]
         while level:
@@ -344,14 +365,18 @@ def _maxima(candidates: Iterable[tuple]) -> list:
 def _run_task(
     engine: tuple,
     table: tuple,
+    known: Container[tuple],
+    uniform: set,
     element: tuple,
     on_step: Optional[Callable[[tuple], None]] = None,
 ) -> tuple:
     """Refine the splits of one element that pass the filter on F's rows
-    ``table`` (see :func:`_witnesses`); returns the fixpoints of the chains
-    that kept their witness, in order of first appearance, the number of
-    splits refined and the number the filter skipped.  ``on_step`` is passed
-    to every refinement.
+    ``table`` (see :func:`_witnesses`, which reads and fills the memo
+    ``uniform``); returns the fixpoints of the chains that kept their
+    witness, in order of first appearance, the number of splits refined and
+    the number the filter skipped.  ``on_step`` and ``known``, canonical
+    colorings of elements already found, are passed to every refinement, so
+    a split that is a known element is answered without a pass.
 
     Each split starts from a copy of the element's working state: its class
     X becomes the witness S, which holds X's smallest member, and the fresh
@@ -364,7 +389,7 @@ def _run_task(
     for color, members in enumerate(classes):
         if len(members) < 2:
             continue
-        for inside, outside in _witnesses(table, col, members):
+        for inside, outside in _witnesses(table, col, members, uniform):
             examined += 1
             split_col = col.copy()
             for i in outside:
@@ -373,7 +398,7 @@ def _run_task(
             split_classes[color] = inside
             split_classes.append(outside)
             fixpoint = _square_fixpoint(
-                engine, split_col, split_classes, on_step, (members[0], len(inside))
+                engine, split_col, split_classes, on_step, (members[0], len(inside)), known
             )
             if fixpoint is not None:
                 found[fixpoint] = None
@@ -381,17 +406,28 @@ def _run_task(
     return found, examined, skipped
 
 
-def _witnesses(table: tuple, col: list, members: list) -> Iterator[tuple]:
+def _witnesses(
+    table: tuple, col: list, members: list, uniform: Optional[set] = None
+) -> Iterator[tuple]:
     """The splits ``(S, X minus S)`` of the class X = ``members`` (sorted,
     0-based working labels ``col``) that pass the filter of the module
     docstring: x0 = ``members[0]`` in S, S != X, and every i in S getting
     the same in-weight sum_{j in S} F_ij, with F's rows in ``table``.
 
     A class with uniform weights yields every split, in the order of
-    :func:`synclat.partition._class_splits`.  Any other class is searched by
-    lazy backtracking in breadth-first order from x0 along in-weights, each
-    member taken before it is left out, as one loop over an explicit stack.
+    :func:`synclat.partition._class_splits`.  Whether it is uniform depends
+    only on the table entries inside X, so the member tuples of classes
+    found uniform go into the memo ``uniform`` and are not checked again.
+    Any other class is searched by lazy backtracking in breadth-first order
+    from x0 along in-weights, each member taken before it is left out, as
+    one loop over an explicit stack.
     """
+    if uniform is None:
+        uniform = set()
+    key = tuple(members)
+    if key in uniform:
+        yield from _class_splits(members)
+        return
     size = len(members)
     inner = {}  # i -> [(j, F_ij)] for j in X
     diagonal, off = set(), []
@@ -402,6 +438,7 @@ def _witnesses(table: tuple, col: list, members: list) -> Iterator[tuple]:
     if len(diagonal) == 1 and (
         not off or (len(off) == size * (size - 1) and len(set(off)) == 1)
     ):
+        uniform.add(key)
         yield from _class_splits(members)
         return
     # breadth-first along in-weights, component by component
@@ -445,17 +482,21 @@ def _witnesses(table: tuple, col: list, members: list) -> Iterator[tuple]:
 
 
 # Pool workers receive the engine and the filter table once, through the
-# initializer, instead of with every task.
+# initializer, instead of with every task.  Each worker keeps, for the
+# search that started its pool, the fixpoints it has returned (all elements)
+# and the classes it found uniform.
 _WORKER_ARGS: tuple = ()
 
 
 def _pool_init(engine: tuple, table: tuple) -> None:
     global _WORKER_ARGS
-    _WORKER_ARGS = (engine, table)
+    _WORKER_ARGS = (engine, table, set(), set())
 
 
 def _pool_run_task(element: tuple) -> tuple:
-    return _run_task(*_WORKER_ARGS, element)
+    found, examined, skipped = _run_task(*_WORKER_ARGS, element)
+    _WORKER_ARGS[2].update(found)
+    return found, examined, skipped
 
 
 def filter_below(lattice: InvariantLattice, top: Partition) -> InvariantLattice:

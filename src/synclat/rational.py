@@ -23,12 +23,17 @@ Scalar = Union[int, str, Fraction]
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
+# Fractions are immutable, so the entries of sparse 0/1 matrices share these
+# two instead of building one per entry.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _to_fraction(x) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to Fraction; reject floats."""
     if isinstance(x, bool):
         raise TypeError("boolean is not a matrix entry")
     if isinstance(x, int):
-        return Fraction(x)
+        return _ZERO if x == 0 else _ONE if x == 1 else Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Container, Optional, Sequence, Union
 
 from .partition import Partition, PartitionPair, canonical_coloring
 from .rational import RationalMatrix, transpose
@@ -274,6 +274,7 @@ def _square_fixpoint(
     classes: list,
     on_step: Optional[Callable[[tuple], None]] = None,
     witness: Optional[tuple] = None,
+    known: Optional[Container[tuple]] = None,
 ) -> Optional[tuple]:
     """Refine the working state ``(col, classes)`` of a coloring, with ``col``
     updated in place, and return the fixed point as a canonical coloring.
@@ -285,12 +286,20 @@ def _square_fixpoint(
     ``witness`` is a pair ``(x, size)`` naming a class of the start by one
     member and its size; once a step splits that class, the refinement stops
     and returns None, and that step is not reported.
+
+    ``known`` holds canonical colorings already proven invariant on this
+    engine.  A start in it is its own fixed point, and the witness is one of
+    its classes, so it is returned at once: no pass runs and ``on_step``
+    gets no report.
     """
     n = len(col)
     last = None
-    if on_step is not None:
+    if on_step is not None or known is not None:
         last = canonical_coloring(col)
-        on_step(last)
+        if known is not None and last in known:
+            return last
+        if on_step is not None:
+            on_step(last)
     for _ in range(n + 1):
         if len(classes) == n:
             break
@@ -302,6 +311,7 @@ def _square_fixpoint(
                 col[i] = label
         if witness is not None and len(classes[col[witness[0]]]) < witness[1]:
             return None
+        last = None
         if on_step is not None:
             last = canonical_coloring(col)
             on_step(last)

@@ -22,6 +22,23 @@ def bar(text, n):
 
 
 @pytest.fixture
+def split_passes(monkeypatch):
+    """A list that gets one item for every refinement pass of
+    synclat.refine in this process."""
+    import synclat.refine as refine
+
+    passes = []
+    real = refine._split_pass
+
+    def counted(*args):
+        passes.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(refine, "_split_pass", counted)
+    return passes
+
+
+@pytest.fixture
 def fig1_family():
     # 5x5 block matrix whose invariant partitions form an 11-element lattice
     return MatrixFamily(

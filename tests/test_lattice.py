@@ -1,6 +1,7 @@
 import multiprocessing
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -249,6 +250,31 @@ def test_pooled_complete_graph_k8_matches_inline():
     for field in ("cir_calls", "splits_examined", "popped"):
         assert getattr(pooled.stats, field) == getattr(inline.stats, field)
     assert elapsed < 15.0
+
+
+def test_complete_graph_k7_refines_each_element_once(split_passes):
+    # every split of K_7 is invariant: the first split that reaches an
+    # element takes one pass (the bottom none) and every later one is
+    # answered from the elements already found
+    fam = MatrixFamily([complete_graph(7)])
+    inline = invariant_lattice(fam)
+    assert len(split_passes) == 876
+    assert len(inline) == bell_number(7) == 877
+    assert len(inline.cover_edges) == 4802
+    stats = inline.stats
+    assert (
+        stats.cir_calls,
+        stats.splits_examined,
+        stats.splits_pruned,
+        stats.queue_peak,
+        stats.popped,
+        stats.visited_partitions,
+        stats.visited_exact,
+    ) == (4803, 4802, 0, 467, 877, 877, True)
+    pooled = invariant_lattice(fam, workers=2)
+    assert pooled.elements == inline.elements
+    assert pooled.cover_edges == inline.cover_edges
+    assert pooled.stats == replace(stats, visited_partitions=None, visited_exact=False)
 
 
 def test_rectangular_family_rejected():

@@ -137,6 +137,43 @@ def test_witness_guard_reports_steps_until_the_witness_splits():
     assert got is steps[0]
 
 
+@pytest.mark.parametrize(
+    "graph, bar, witness",
+    [
+        # the witness 1267 splits in the second step
+        (cycle_graph(8), "1267|3458", (0, 4)),
+        # the classes by distance from vertex 1
+        (cycle_graph(8), "1|2345678", (0, 1)),
+        # its own fixpoint
+        (complete_graph(6), "125|346", (0, 3)),
+    ],
+)
+def test_known_starts_are_answered_without_a_pass(split_passes, graph, bar, witness):
+    engine = MatrixFamily([graph]).engine()
+    start = Partition.from_bar(bar, graph.rows).coloring
+    other = Partition.singleton(graph.rows).coloring
+    plain = []
+    want = _square_fixpoint(engine, *_start_state(start), plain.append, witness)
+    refined = len(split_passes)
+    assert refined > 0
+    # a start that is not known refines as it does without known, with or
+    # without an observer
+    for known in ({other}, {other: other}):
+        split_passes.clear()
+        steps = []
+        got = _square_fixpoint(engine, *_start_state(start), steps.append, witness, known)
+        assert (got, steps, len(split_passes)) == (want, plain, refined)
+        got = _square_fixpoint(engine, *_start_state(start), None, witness, known)
+        assert got == want
+    if want is None:
+        return
+    # a known start is returned as it is: no pass and no report
+    split_passes.clear()
+    steps = []
+    got = _square_fixpoint(engine, *_start_state(want), steps.append, witness, {want})
+    assert (got, steps, split_passes) == (want, [], [])
+
+
 def test_cir_from_singleton_balex(balex_family):
     got = cir(balex_family, Partition.singleton(5))
     assert got == Partition.from_bar("13|245", 5)
