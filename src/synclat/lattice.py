@@ -59,10 +59,10 @@ lower covers of E are therefore exactly the maximal elements among its kept
 results.  Every element is reached from the top through covers, so the
 elements are the same too.  A split Q that is already an element is
 invariant, so cir(Q) = Q, and S is a class of Q, so the guard holds: the
-refinement would return Q itself.  The search therefore answers such a split
-with one lookup among the elements already found (inline, all of them; in a
-pool worker, those it has returned) and runs no pass.  It still counts as a
-refined split, since its cir is known exactly, and its partition was already
+refinement would return Q itself.  So :func:`_run_task` numbers Q
+canonically and looks it up among the elements already found (inline, all
+of them; in a pool worker, those it has returned) before it runs a pass.  Q
+still counts as a refined split, since its cir is known exactly, and was
 reported as the last step of the refinement that found it.  On K_n every
 split is an element, so an inline search refines each element once.
 
@@ -85,6 +85,7 @@ weights again.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
@@ -374,16 +375,15 @@ def _run_task(
     ``table`` (see :func:`_witnesses`, which reads and fills the memo
     ``uniform``); returns the fixpoints of the chains that kept their
     witness, in order of first appearance, the number of splits refined and
-    the number the filter skipped.  ``on_step`` and ``known``, canonical
-    colorings of elements already found, are passed to every refinement, so
-    a split that is a known element is answered without a pass.
+    the number the filter skipped.
 
-    Each split starts from a copy of the element's working state: its class
-    X becomes the witness S, which holds X's smallest member, and the fresh
-    class X minus S.
+    A split keeps the witness S, which holds X's smallest member, in the
+    place of its class X and puts X minus S among the classes by smallest
+    member, so its start is canonical.  This is where a start in ``known``
+    (elements already found) is answered, by lookup, with no pass.
     """
     col, classes = _start_state(element)
-    fresh = len(classes)
+    smallest = [members[0] for members in classes]
     found: dict = {}
     examined = 0
     for color, members in enumerate(classes):
@@ -391,14 +391,22 @@ def _run_task(
             continue
         for inside, outside in _witnesses(table, col, members, uniform):
             examined += 1
+            at = bisect(smallest, outside[0])
             split_col = col.copy()
+            for later in classes[at:]:
+                for i in later:
+                    split_col[i] += 1
             for i in outside:
-                split_col[i] = fresh
+                split_col[i] = at + 1
+            start = tuple(split_col)
+            if start in known:
+                found[start] = None
+                continue
             split_classes = classes.copy()
             split_classes[color] = inside
             split_classes.append(outside)
             fixpoint = _square_fixpoint(
-                engine, split_col, split_classes, on_step, (members[0], len(inside)), known
+                engine, split_col, split_classes, on_step, (members[0], len(inside))
             )
             if fixpoint is not None:
                 found[fixpoint] = None
@@ -410,7 +418,7 @@ def _witnesses(
     table: tuple, col: list, members: list, uniform: Optional[set] = None
 ) -> Iterator[tuple]:
     """The splits ``(S, X minus S)`` of the class X = ``members`` (sorted,
-    0-based working labels ``col``) that pass the filter of the module
+    working coloring ``col``) that pass the filter of the module
     docstring: x0 = ``members[0]`` in S, S != X, and every i in S getting
     the same in-weight sum_{j in S} F_ij, with F's rows in ``table``.
 

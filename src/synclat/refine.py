@@ -33,18 +33,18 @@ against a coloring is a single exact integer key (see :func:`_pack`).
 Families whose packed weights are all 1 (plain adjacency matrices) key short
 rows without a loop.
 Classes are refined bucket-by-bucket, so elements already isolated in
-singleton classes cost nothing, and colorings stay as plain integer lists
-until :func:`_square_fixpoint` canonicalizes the result (and each step, when
-an observer asks for them).
+singleton classes cost nothing.  The working coloring is the canonical
+1-based one of :class:`Partition` throughout: each pass numbers the classes
+by smallest member, so every step is the working list as a tuple.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Container, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .partition import Partition, PartitionPair, canonical_coloring
+from .partition import Partition, PartitionPair
 from .rational import RationalMatrix, transpose
 
 Element = Union[Partition, PartitionPair]
@@ -153,11 +153,11 @@ def _pack(matrices: list, n: int) -> tuple:
     With R the largest absolute row sum of any matrix and B = 2R + 1, entry
     (i, j) of the family becomes the weight W_ij = sum_l M_l[i][j] * B**(l*n),
     and ``rows[i]`` lists the ``(j, W_ij)`` with W_ij != 0.  ``pw[c]`` is
-    B**c.
+    B**(c-1) for the colors c = 1..n, and ``pw[0]`` is a dummy 0.
 
-    The key of row i against a column coloring ``ncol`` (colors below n) is
-    sum_j W_ij * pw[ncol[j]].  Its base-B digit at position l*n + c is the
-    exact in-weight s(l, c) that row i of M_l gives to color c, and
+    The key of row i against a column coloring ``ncol`` (colors 1..n) is
+    sum_j W_ij * pw[ncol[j]].  Its base-B digit at position l*n + c - 1 is
+    the exact in-weight s(l, c) that row i of M_l gives to color c, and
     |s(l, c)| <= R < B/2.  Two such digit vectors that differ have a lowest
     differing position k, where the difference of the keys is B**k times a
     nonzero number below B in absolute value plus a multiple of B**(k+1),
@@ -183,7 +183,7 @@ def _pack(matrices: list, n: int) -> tuple:
     ones = all(w == 1 for row in rows for _, w in row)
     if ones:
         rows = [tuple(j for j, _ in row) for row in rows]
-    return (tuple(rows), tuple(base**c for c in range(n)), ones)
+    return (tuple(rows), (0,) + tuple(base**c for c in range(n)), ones)
 
 
 def _filter_table(engine: tuple) -> tuple:
@@ -207,12 +207,12 @@ def _filter_table(engine: tuple) -> tuple:
 def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:
     """One refinement pass: split every class by row key.
 
-    ``ncol`` maps a matrix column index to its current 0-based color (the
+    ``ncol`` maps a matrix column index to its canonical 1-based color (the
     coloring being refined, or for :func:`directed_containment` the column
-    coloring).  Members of a class stay together exactly when their keys
-    (see :func:`_pack`) are equal, and the new classes come in order of their
-    first member.  Returns ``(new_classes, changed)`` and mutates nothing, so
-    every class is split against the same state.
+    coloring).  Members of a sorted class stay together exactly when their
+    keys (see :func:`_pack`) are equal; the new classes are sorted, in order
+    of their first member.  Returns ``(new_classes, changed)`` and mutates
+    nothing, so every class is split against the same state.
     """
     rows, pw, ones = engine
     out = []
@@ -260,11 +260,12 @@ def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:
 
 
 def _start_state(coloring: Sequence[int]) -> tuple:
-    """(col, classes) working state from a 1-based coloring."""
-    col = [c - 1 for c in coloring]
-    classes: list = [[] for _ in range(max(col) + 1)]
+    """The working state ``(col, classes)`` of a canonical coloring, with
+    ``classes[c - 1]`` the sorted members of color c."""
+    col = list(coloring)
+    classes: list = [[] for _ in range(max(col))]
     for i, c in enumerate(col):
-        classes[c].append(i)
+        classes[c - 1].append(i)
     return col, classes
 
 
@@ -274,53 +275,45 @@ def _square_fixpoint(
     classes: list,
     on_step: Optional[Callable[[tuple], None]] = None,
     witness: Optional[tuple] = None,
-    known: Optional[Container[tuple]] = None,
 ) -> Optional[tuple]:
-    """Refine the working state ``(col, classes)`` of a coloring, with ``col``
-    updated in place, and return the fixed point as a canonical coloring.
+    """Refine the working state ``(col, classes)``, with ``col`` updated in
+    place, and return the fixed point.  ``col`` is canonical and each class
+    sorted, in any order: each strict step sorts the classes by smallest
+    member and numbers them from 1, so ``col`` stays canonical.
 
-    ``on_step`` gets the canonical coloring of the start and of each strict
-    step, each computed once; the last one is the result, so a start that the
-    first pass leaves unchanged is returned as the tuple already reported.
+    ``on_step`` gets ``tuple(col)`` for the start and each strict step; the
+    last one is the result, so a start that the first pass leaves unchanged
+    is returned as the tuple already reported.
 
     ``witness`` is a pair ``(x, size)`` naming a class of the start by one
     member and its size; once a step splits that class, the refinement stops
     and returns None, and that step is not reported.
-
-    ``known`` holds canonical colorings already proven invariant on this
-    engine.  A start in it is its own fixed point, and the witness is one of
-    its classes, so it is returned at once: no pass runs and ``on_step``
-    gets no report.
     """
     n = len(col)
-    last = None
-    if on_step is not None or known is not None:
-        last = canonical_coloring(col)
-        if known is not None and last in known:
-            return last
-        if on_step is not None:
-            on_step(last)
+    step = tuple(col)
+    if on_step is not None:
+        on_step(step)
     for _ in range(n + 1):
         if len(classes) == n:
             break
         classes, changed = _split_pass(engine, classes, col)
         if not changed:
             break
-        for label, members in enumerate(classes):
+        classes.sort()  # distinct smallest members decide the order
+        for label, members in enumerate(classes, 1):
             for i in members:
                 col[i] = label
-        if witness is not None and len(classes[col[witness[0]]]) < witness[1]:
+        if witness is not None and len(classes[col[witness[0]] - 1]) < witness[1]:
             return None
-        last = None
+        step = tuple(col)
         if on_step is not None:
-            last = canonical_coloring(col)
-            on_step(last)
+            on_step(step)
     else:
         raise AssertionError(
             "refinement failed to stabilize within the ground-set size; "
             "this indicates an internal invariant violation"
         )
-    return canonical_coloring(col) if last is None else last
+    return step
 
 
 def _prepare(family: MatrixFamily, part: Element) -> tuple:
@@ -391,8 +384,7 @@ def directed_containment(
             f"family shape {family.rows}x{family.cols}"
         )
     _, classes = _start_state(row_part.coloring)
-    ncol, _ = _start_state(col_part.coloring)
-    _, changed = _split_pass(family.engine(), classes, ncol)
+    _, changed = _split_pass(family.engine(), classes, col_part.coloring)
     return not changed
 
 

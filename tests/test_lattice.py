@@ -14,6 +14,7 @@ from synclat import (
     balanced_partitions,
     bell_number,
     brute_invariant_set,
+    cir_chain,
     complete_graph,
     cycle_graph,
     filter_below,
@@ -23,7 +24,12 @@ from synclat import (
     tactical_lattice,
     zeros,
 )
+from synclat.lattice import _filter_table, _run_task, _witnesses
+from synclat.partition import canonical_coloring
+from synclat.refine import _prepare, _start_state
 from conftest import FIG1_BARS, bar
+from test_tactical import rand_rect_family
+from test_witness import planted_family, symmetric_circulant_family
 
 
 def rand_family(rng, n):
@@ -275,6 +281,112 @@ def test_complete_graph_k7_refines_each_element_once(split_passes):
     assert pooled.elements == inline.elements
     assert pooled.cover_edges == inline.cover_edges
     assert pooled.stats == replace(stats, visited_partitions=None, visited_exact=False)
+
+
+def split_starts(element, table):
+    """The start of every split that ``_run_task`` refines, in order,
+    numbered by ``canonical_coloring``."""
+    col, classes = _start_state(element)
+    starts = []
+    for members in classes:
+        if len(members) < 2:
+            continue
+        for _, outside in _witnesses(table, col, members):
+            labels = list(col)
+            for i in outside:
+                labels[i] = len(classes) + 1
+            starts.append(canonical_coloring(labels))
+    return starts
+
+
+@pytest.mark.parametrize(
+    "graph, top, all_known",
+    [
+        # the splits include 1267|3458, whose witness splits in the second
+        # step, and 1|2345678, the classes by distance from vertex 1
+        (cycle_graph(8), "12345678", False),
+        (cycle_graph(8), "1357|2468", False),
+        # every split of K_6 is its own fixpoint, 125|346 among them
+        (complete_graph(6), "123456", True),
+    ],
+)
+def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_known):
+    engine = MatrixFamily([graph]).engine()
+    table = _filter_table(engine)
+    element = Partition.from_bar(top, graph.rows).coloring
+    plain = []
+    want = _run_task(engine, table, set(), set(), element, plain.append)
+    refined = len(split_passes)
+    assert refined > 0
+    # known colorings that no split starts from change nothing, as a set or
+    # as the dict that the inline search passes
+    for known in ({element}, {element: element}):
+        split_passes.clear()
+        steps = []
+        got = _run_task(engine, table, known, set(), element, steps.append)
+        assert (got, steps, len(split_passes)) == (want, plain, refined)
+    # a split whose start is a known fixpoint is answered by the lookup; had
+    # it been refined, it would have made one report and, with fewer than n
+    # classes, one pass that changed nothing
+    known = set(want[0])
+    answered = [start for start in split_starts(element, table) if start in known]
+    assert answered and (len(answered) == want[1]) == all_known
+    split_passes.clear()
+    steps = []
+    got = _run_task(engine, table, known, set(), element, steps.append)
+    assert got == want
+    assert len(steps) == len(plain) - len(answered)
+    assert len(split_passes) == refined - sum(max(s) < len(s) for s in answered)
+    if all_known:
+        assert (steps, split_passes) == ([], [])
+
+
+def test_every_coloring_the_refinement_hands_out_is_canonical():
+    # Partition._from_canonical and PartitionPair._from_joined trust their
+    # input, so every step, report and fixpoint must be canonical already
+    rng = random.Random(23)
+
+    def labels(n):
+        out = [1]
+        for _ in range(n - 1):
+            out.append(rng.randint(1, max(out) + 1))
+        return out
+
+    checked = 0
+    for trial in range(45):
+        make = (planted_family, symmetric_circulant_family, rand_rect_family)[trial % 3]
+        if make is rand_rect_family:
+            fam = make(rng, rng.randint(2, 5), rng.randint(2, 5))
+        else:
+            fam = make(rng, rng.randint(3, 8))
+        search = invariant_lattice if fam.is_square else tactical_lattice
+        lattice = search(fam)
+        for _ in range(3):
+            start = Partition(labels(fam.cols))
+            if not fam.is_square:
+                start = PartitionPair(Partition(labels(fam.rows)), start)
+            for step in cir_chain(fam, start):
+                parts = (step,) if fam.is_square else (step.row_part, step.col_part)
+                for part in parts:
+                    assert part.coloring == canonical_coloring(part.coloring)
+        engine, _, _ = _prepare(fam, lattice.elements[0])
+        table = _filter_table(engine)
+        for element in lattice.elements:
+            _, coloring, _ = _prepare(fam, element)
+            reports = []
+            found, _, _ = _run_task(engine, table, set(), set(), coloring, reports.append)
+            # each split is reported from its own start, numbered canonically
+            assert set(split_starts(coloring, table)) <= set(reports)
+            for handed_out in [*reports, *found]:
+                assert handed_out == canonical_coloring(handed_out)
+                checked += 1
+        if trial < 3:
+            pooled = search(fam, workers=2)
+            assert (pooled.elements, pooled.cover_edges) == (lattice.elements, lattice.cover_edges)
+            assert pooled.stats == replace(
+                lattice.stats, visited_partitions=None, visited_exact=False
+            )
+    assert checked > 1000
 
 
 def test_rectangular_family_rejected():
