@@ -31,9 +31,10 @@ order, so the elements, the cover edges and every stat but the inline-only
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice, so covers are not inherited from the ambient lattice.
 They come from the search instead.  Let L be a lower cover of an element E.
-L splits some class X of E; let x0 be the smallest member of X and S the
-class of L that holds x0, so S is not all of X.  Split X into S and X minus
-S; call that start Q.  L refines Q, so L <= cir(Q) <= Q < E, and cir(Q) = L.
+Let X be the first class of E (in order of smallest member) that L splits,
+x0 the smallest member of X and S the class of L that holds x0, so S is not
+all of X.  Split X into S and X minus S; call that start Q.  L refines Q, so
+L <= cir(Q) <= Q < E, and cir(Q) = L.
 So every lower cover is the cir of a split of one class X into some S that
 holds x0 and the rest, and two conditions single out the splits that can
 give one:
@@ -50,21 +51,25 @@ give one:
   uniform on S.  Only such S are refined.  Any F that maps V into V gives
   a sound filter; the exact digits only make this one stronger.
 * Guard.  Every step P of the refinement chain from Q satisfies
-  L <= P <= Q, so S stays one class of every step.  A chain whose step
-  splits S is abandoned and its result dropped.
+  L <= P <= Q, so S and every class of E before X stay whole in every step.
+  A chain whose step splits S or a class of E before X is abandoned and its
+  result dropped.
 
-Nothing is lost.  Every lower cover of E is still found, from its own S, and
-every kept result is strictly below E and so below some lower cover; the
-lower covers of E are therefore exactly the maximal elements among its kept
-results.  Every element is reached from the top through covers, so the
-elements are the same too.  A split Q that is already an element is
-invariant, so cir(Q) = Q, and S is a class of Q, so the guard holds: the
-refinement would return Q itself.  So :func:`_run_task` numbers Q
-canonically and looks it up among the elements already found (inline, all
-of them; in a pool worker, those it has returned) before it runs a pass.  Q
-still counts as a refined split, since its cir is known exactly, and was
-reported as the last step of the refinement that found it.  On K_n every
-split is an element, so an inline search refines each element once.
+Nothing is lost.  Every lower cover of E is still found, from its own X and
+S, and every kept result is strictly below E and so below some lower cover;
+the lower covers of E are therefore exactly the maximal elements among its
+kept results.  A kept result splits X and no class before it, and S is its
+class of x0, so it is kept from one split only and no two chains of E end
+in the same result (a canonical construction path, after McKay 1998).
+Every element is reached from the top through covers, so the elements are
+the same too.  A split Q that is already an element is invariant, so
+cir(Q) = Q with no step, and the guard holds: the refinement would return Q
+itself.  So :func:`_run_task` numbers Q canonically and looks it up among
+the elements already found (inline, all of them; in a pool worker, those it
+has returned) before it runs a pass.  Q still counts as a refined split,
+since its cir is known exactly, and was reported as the last step of the
+refinement that found it.  On K_n every split is an element, so an inline
+search refines each element once.
 
 The S that pass the filter are found by lazy backtracking over X in
 breadth-first order from x0: a member of S is checked once it and all its
@@ -122,8 +127,8 @@ class LatticeStats:
 
     ``visited_partitions`` counts the distinct partitions that the refinements
     of the whole run report: the start of each (the search's start and every
-    split that was refined) and each strict step up to the step that splits
-    the witness, which is not reported (pairs of partitions for a tactical
+    split that was refined) and each strict step before the guard of the
+    module docstring abandons it (pairs of partitions for a tactical
     lattice).  It is collected exactly in every ``workers == 1`` run, square
     or tactical, up to 2·10^6 partitions, after which ``visited_exact`` drops
     to False; multi-worker runs report None since unioning the per-worker
@@ -373,9 +378,9 @@ def _run_task(
 ) -> tuple:
     """Refine the splits of one element that pass the filter on F's rows
     ``table`` (see :func:`_witnesses`, which reads and fills the memo
-    ``uniform``); returns the fixpoints of the chains that kept their
-    witness, in order of first appearance, the number of splits refined and
-    the number the filter skipped.
+    ``uniform``); returns the fixpoints of the chains that the guard kept,
+    in order, the number of splits refined and the number the filter
+    skipped.
 
     A split keeps the witness S, which holds X's smallest member, in the
     place of its class X and puts X minus S among the classes by smallest
@@ -384,7 +389,7 @@ def _run_task(
     """
     col, classes = _start_state(element)
     smallest = [members[0] for members in classes]
-    found: dict = {}
+    found = []  # distinct: each kept result names its own split
     examined = 0
     for color, members in enumerate(classes):
         if len(members) < 2:
@@ -400,16 +405,16 @@ def _run_task(
                 split_col[i] = at + 1
             start = tuple(split_col)
             if start in known:
-                found[start] = None
+                found.append(start)
                 continue
             split_classes = classes.copy()
             split_classes[color] = inside
             split_classes.append(outside)
             fixpoint = _square_fixpoint(
-                engine, split_col, split_classes, on_step, (members[0], len(inside))
+                engine, split_col, split_classes, on_step, members[0]
             )
             if fixpoint is not None:
-                found[fixpoint] = None
+                found.append(fixpoint)
     skipped = sum((1 << (len(members) - 1)) - 1 for members in classes) - examined
     return found, examined, skipped
 

@@ -274,7 +274,7 @@ def _square_fixpoint(
     col: list,
     classes: list,
     on_step: Optional[Callable[[tuple], None]] = None,
-    witness: Optional[tuple] = None,
+    witness: Optional[int] = None,
 ) -> Optional[tuple]:
     """Refine the working state ``(col, classes)``, with ``col`` updated in
     place, and return the fixed point.  ``col`` is canonical and each class
@@ -285,11 +285,18 @@ def _square_fixpoint(
     last one is the result, so a start that the first pass leaves unchanged
     is returned as the tuple already reported.
 
-    ``witness`` is a pair ``(x, size)`` naming a class of the start by one
-    member and its size; once a step splits that class, the refinement stops
-    and returns None, and that step is not reported.
+    ``witness`` is a member x0 of the start; once a step splits the class
+    of x0 or a class whose smallest member is below x0, the refinement
+    stops and returns None, and that step is not reported.  Those are the
+    start's first p = col[x0] classes.  Each of them has a part with its
+    smallest member in every step, so a step's first p classes are parts of
+    them, and they hold all the members of those classes exactly when the
+    step splits none of them.
     """
     n = len(col)
+    if witness is not None:
+        p = col[witness]
+        whole = sum(len(members) for members in classes if members[0] <= witness)
     step = tuple(col)
     if on_step is not None:
         on_step(step)
@@ -303,7 +310,7 @@ def _square_fixpoint(
         for label, members in enumerate(classes, 1):
             for i in members:
                 col[i] = label
-        if witness is not None and len(classes[col[witness[0]] - 1]) < witness[1]:
+        if witness is not None and sum(map(len, classes[:p])) < whole:
             return None
         step = tuple(col)
         if on_step is not None:

@@ -190,7 +190,7 @@ def test_visited_cap_saturates_the_count(monkeypatch):
 
     family = MatrixFamily([cycle_graph(8)])
     full = invariant_lattice(family, workers=1)
-    assert (full.stats.visited_partitions, full.stats.visited_exact) == (132, True)
+    assert (full.stats.visited_partitions, full.stats.visited_exact) == (110, True)
     monkeypatch.setattr(lattice, "_VISITED_CAP", 5)
     capped = invariant_lattice(family, workers=1)
     # the tracker stops one partition past the cap and keeps that count

@@ -124,7 +124,7 @@ def test_witness_guard_reports_steps_until_the_witness_splits():
     engine = MatrixFamily([cycle_graph(8)]).engine()
     start = Partition.from_bar("1267|3458", 8)
     steps = []
-    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, (0, 4))
+    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, 0)
     assert got is None
     assert [Partition(c).bar() for c in steps] == ["1267|3458", "1267|35|4|8"]
     # a split of K_n is its own fixpoint: the start is the one report and
@@ -132,7 +132,7 @@ def test_witness_guard_reports_steps_until_the_witness_splits():
     engine = MatrixFamily([complete_graph(6)]).engine()
     start = Partition.from_bar("125|346", 6)
     steps = []
-    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, (0, 3))
+    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, 0)
     assert steps == [start.coloring]
     assert got is steps[0]
 

@@ -32,6 +32,7 @@ from synclat import (
     transpose,
 )
 from synclat.lattice import _invariant_below
+from synclat.refine import _square_fixpoint, _start_state
 from conftest import K13_PAIRS
 
 
@@ -221,15 +222,22 @@ def test_tactical_lattice_petersen_pooled():
     # the work of the sequential search, pinned
     stats = seq.stats
     assert (stats.cir_calls, stats.splits_examined, stats.popped) == (4473, 4472, 134)
-    assert (stats.visited_partitions, stats.queue_peak) == (14275, 97)
+    assert (stats.visited_partitions, stats.queue_peak) == (6935, 82)
 
 
 def test_tactical_lattice_petersen_pooled_json_is_reproducible():
     # pooled stats hold nothing that depends on scheduling
     family = petersen_incidence()
     first = tactical_lattice(family, workers=2).to_json_dict()
-    assert first["stats"]["queue_peak"] == 97  # the inline value
+    assert first["stats"]["queue_peak"] == 82  # the inline value
     assert tactical_lattice(family, workers=2).to_json_dict() == first
+
+
+def test_tactical_lattice_petersen_refinement_passes(split_passes):
+    # each kept refinement chain is the one split credited with its result,
+    # so no lower cover is refined twice
+    tactical_lattice(petersen_incidence())
+    assert len(split_passes) == 7403
 
 
 def block_matrix(m):
@@ -356,6 +364,25 @@ def fano_from_file():
     data = os.path.join(os.path.dirname(__file__), "data", "fano.json")
     with open(data) as fh:
         return incidence_family(IncidenceStructure.from_json_dict(json.load(fh)))
+
+
+def test_witness_guard_stops_when_an_earlier_class_splits():
+    # Fano, E = (123|4|567, 124|356|7), S = {5, 7} of the row class 567: the
+    # second step splits the earlier row class 123 and keeps S whole.  Its
+    # fixpoint is credited to a split of 123, so this chain stops there
+    family = fano_from_file()
+    start = pair("123|4|57|6", "124|356|7", 7, 7)
+    chain = tactical_cir_chain(family, start)
+    assert [(p.row_part.bar(), p.col_part.bar()) for p in chain] == [
+        ("123|4|57|6", "124|356|7"),
+        ("123|4|57|6", "12|3|4|56|7"),
+        ("1|23|4|57|6", "12|3|4|56|7"),
+    ]
+    steps = []
+    engine = family.block_engine()
+    got = _square_fixpoint(engine, *_start_state(start.joined()), steps.append, 4)
+    assert got is None
+    assert steps == [p.joined() for p in chain[:2]]
 
 
 @pytest.mark.parametrize("make_family", [fano_from_file, petersen_incidence])

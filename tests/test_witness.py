@@ -34,7 +34,7 @@ from synclat import (
     tactical_cir,
     tactical_lattice,
 )
-from synclat.lattice import _filter_table, _invariant_below, _witnesses
+from synclat.lattice import _filter_table, _invariant_below, _run_task, _witnesses
 from synclat.networks import network_from_adjacencies
 from synclat.partition import iter_cover_colorings
 from synclat.refine import _pack, _start_state
@@ -258,6 +258,34 @@ def test_tactical_lattices_match_reference():
         )
         pruned += lat.stats.splits_pruned
     assert pruned > 0
+
+
+def test_each_fixpoint_is_kept_from_one_split():
+    # a kept fixpoint L of a split of X with witness S keeps S and every
+    # class before X whole, so X is the first class of E that L splits and
+    # S is L's class of min X: no two splits of an element keep one fixpoint
+    rng = random.Random(13)
+    cases = [(petersen_incidence(), tactical_lattice)]
+    for _ in range(10):
+        n = rng.randint(3, 8)
+        cases += [
+            (planted_family(rng, n), invariant_lattice),
+            (symmetric_circulant_family(rng, rng.randint(4, 10)), invariant_lattice),
+            (rand_rect_family(rng, rng.randint(1, 5), rng.randint(1, 5)), tactical_lattice),
+        ]
+    refined = 0
+    for family, search in cases:
+        lat = search(family)
+        tactical = search is tactical_lattice
+        engine = family.block_engine() if tactical else family.engine()
+        table = _filter_table(engine)
+        for element in lat.elements:
+            # with nothing known, every split is refined
+            start = element.joined() if tactical else element.coloring
+            found, examined, _ = _run_task(engine, table, set(), set(), start)
+            assert len(found) == len(set(found))
+            refined += examined
+    assert refined > 4000
 
 
 def test_filter_passes_the_witness_of_every_brute_force_cover():
