@@ -48,8 +48,13 @@ give one:
   its exact integer square and K = 2·max_i sum_j |W_ij| + 1.  An in-weight
   under W is below K/2 in absolute value, so an in-weight under F encodes
   the in-weights under W and under W² exactly, and S passes when both are
-  uniform on S.  Only such S are refined.  Any F that maps V into V gives
-  a sound filter; the exact digits only make this one stronger.
+  uniform on S.  Any F that maps V into V gives a sound filter; the exact
+  digits only make this one stronger.  L splits no class Y of E before X,
+  so each such Y is a class of L too, and F maps the indicator of S to a
+  vector constant on Y: every member of Y gets the same F-weight
+  sum_{j in S} F_yj from S.  A second stage checks that on every earlier
+  class with two or more members, adding the weights over F's columns
+  (:func:`_transposed`).  Only splits that pass both stages are refined.
 * Guard.  Every step P of the refinement chain from Q satisfies
   L <= P <= Q, so S and every class of E before X stay whole in every step.
   A chain whose step splits S or a class of E before X is abandoned and its
@@ -61,15 +66,19 @@ the lower covers of E are therefore exactly the maximal elements among its
 kept results.  A kept result splits X and no class before it, and S is its
 class of x0, so it is kept from one split only and no two chains of E end
 in the same result (a canonical construction path, after McKay 1998).
+The argument of the second stage holds for any kept result in place of L,
+so that stage skips only splits whose chains the guard would drop.
 Every element is reached from the top through covers, so the elements are
 the same too.  A split Q that is already an element is invariant, so
 cir(Q) = Q with no step, and the guard holds: the refinement would return Q
 itself.  So :func:`_run_task` numbers Q canonically and looks it up among
 the elements already found (inline, all of them; in a pool worker, those it
-has returned) before it runs a pass.  Q still counts as a refined split,
-since its cir is known exactly, and was reported as the last step of the
-refinement that found it.  On K_n every split is an element, so an inline
-search refines each element once.
+has returned) before the second stage or a pass.  Q still counts as a
+refined split, since its cir is known exactly, and was reported as the last
+step of the refinement that found it.  On K_n every split is an element, so
+an inline search refines each element once.  Q is a kept result itself, so
+it would pass the second stage too, and the counts do not depend on what is
+known.
 
 The S that pass the filter are found by lazy backtracking over X in
 breadth-first order from x0: a member of S is checked once it and all its
@@ -91,6 +100,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
@@ -140,9 +150,10 @@ class LatticeStats:
     the same for every worker count.
 
     ``splits_examined`` counts the one-class splits that were refined and
-    ``splits_pruned`` those the filter skipped, whose witness gets unequal
-    in-weights under W or under W² (see the module docstring); together
-    they are the sum of 2^(s-1) - 1 over the classes of every element.  A
+    ``splits_pruned`` those that either stage of the filter skipped: the
+    members of the witness S, or of a class before the split one, get
+    unequal F-weights from S (see the module docstring).  Together they are
+    the sum of 2^(s-1) - 1 over the classes of every element.  A
     split that is already an element is answered without a refinement pass
     but counts as examined, since its cir is known exactly, so the counts do
     not depend on the worker count.  ``cir_calls`` is ``splits_examined``
@@ -308,14 +319,17 @@ def _search(
     splits = pruned = 0
     queue_peak = 1
     table = _filter_table(engine)
+    back = _transposed(table)
     pool = None
     if workers == 1:
         # the builtin map is lazy, so each task starts once the results
         # before it are read and seen holds every element found so far
-        run = partial(map, partial(_run_task, engine, table, seen, set(), on_step=on_step))
+        run = partial(
+            map, partial(_run_task, engine, table, back, seen, set(), on_step=on_step)
+        )
     else:
         pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(engine, table)
+            max_workers=workers, initializer=_pool_init, initargs=(engine, table, back)
         )
 
         def run(level: list) -> Iterator[tuple]:
@@ -368,24 +382,39 @@ def _maxima(candidates: Iterable[tuple]) -> list:
     return maxima
 
 
+def _transposed(table: tuple) -> list:
+    """The columns of F from its rows ``table``: item j holds the
+    ``(i, F_ij)`` with F_ij != 0, in order of i."""
+    back: list = [[] for _ in table]
+    for i, row in enumerate(table):
+        for j, f in row:
+            back[j].append((i, f))
+    return back
+
+
 def _run_task(
     engine: tuple,
     table: tuple,
+    back: list,
     known: Container[tuple],
     uniform: set,
     element: tuple,
     on_step: Optional[Callable[[tuple], None]] = None,
 ) -> tuple:
-    """Refine the splits of one element that pass the filter on F's rows
-    ``table`` (see :func:`_witnesses`, which reads and fills the memo
-    ``uniform``); returns the fixpoints of the chains that the guard kept,
-    in order, the number of splits refined and the number the filter
-    skipped.
+    """Refine the splits of one element that pass both stages of the
+    filter: S on F's rows ``table`` (see :func:`_witnesses`, which reads
+    and fills the memo ``uniform``), then the earlier classes on F's
+    columns ``back``.  Returns the fixpoints of the chains that the guard
+    kept, in order, the number of splits refined and the number the two
+    stages skipped.
 
     A split keeps the witness S, which holds X's smallest member, in the
     place of its class X and puts X minus S among the classes by smallest
-    member, so its start is canonical.  This is where a start in ``known``
-    (elements already found) is answered, by lookup, with no pass.
+    member, so its start is canonical.  A start in ``known`` (elements
+    already found) is answered by lookup, with no pass.  Any other split
+    goes on only if every class before X with two or more members gets one
+    F-weight from S (a member with no entry gets 0); a split that fails
+    could only start a chain that the guard drops.
     """
     col, classes = _start_state(element)
     smallest = [members[0] for members in classes]
@@ -394,8 +423,8 @@ def _run_task(
     for color, members in enumerate(classes):
         if len(members) < 2:
             continue
+        guarded = [earlier for earlier in classes[:color] if len(earlier) > 1]
         for inside, outside in _witnesses(table, col, members, uniform):
-            examined += 1
             at = bisect(smallest, outside[0])
             split_col = col.copy()
             for later in classes[at:]:
@@ -405,14 +434,22 @@ def _run_task(
                 split_col[i] = at + 1
             start = tuple(split_col)
             if start in known:
-                found.append(start)
-                continue
-            split_classes = classes.copy()
-            split_classes[color] = inside
-            split_classes.append(outside)
-            fixpoint = _square_fixpoint(
-                engine, split_col, split_classes, on_step, members[0]
-            )
+                fixpoint = start
+            else:
+                if guarded:
+                    weight = defaultdict(int)  # i -> sum_{j in S} F_ij
+                    for j in inside:
+                        for i, f in back[j]:
+                            weight[i] += f
+                    if any(len({weight[i] for i in y}) > 1 for y in guarded):
+                        continue  # pruned: the guard would drop its chain
+                split_classes = classes.copy()
+                split_classes[color] = inside
+                split_classes.append(outside)
+                fixpoint = _square_fixpoint(
+                    engine, split_col, split_classes, on_step, members[0]
+                )
+            examined += 1
             if fixpoint is not None:
                 found.append(fixpoint)
     skipped = sum((1 << (len(members) - 1)) - 1 for members in classes) - examined
@@ -494,21 +531,21 @@ def _witnesses(
                 yield inside, [i for i in members if not in_s[i]]
 
 
-# Pool workers receive the engine and the filter table once, through the
-# initializer, instead of with every task.  Each worker keeps, for the
+# Pool workers receive the engine and F's rows and columns once, through
+# the initializer, instead of with every task.  Each worker keeps, for the
 # search that started its pool, the fixpoints it has returned (all elements)
 # and the classes it found uniform.
 _WORKER_ARGS: tuple = ()
 
 
-def _pool_init(engine: tuple, table: tuple) -> None:
+def _pool_init(engine: tuple, table: tuple, back: list) -> None:
     global _WORKER_ARGS
-    _WORKER_ARGS = (engine, table, set(), set())
+    _WORKER_ARGS = (engine, table, back, set(), set())
 
 
 def _pool_run_task(element: tuple) -> tuple:
     found, examined, skipped = _run_task(*_WORKER_ARGS, element)
-    _WORKER_ARGS[2].update(found)
+    _WORKER_ARGS[3].update(found)
     return found, examined, skipped
 
 

@@ -473,28 +473,28 @@ def test_cayley_verify_compares_cosets_only_for_generating_sets(capsys, tmp_path
 # Every input has n < 14, so each run is inline and its JSON stats are exact.
 STDOUT_SHA256 = {
     ("lattice", "matrices", "cipnet.json"): ("2ca5a4232b7b9b46", "45aa3b5ab7eb573f", "04838ada6c58f3a0"),
-    ("lattice", "matrices", "fano.json"): ("1d756da7ddb70e2b", "f03fc64017aea2e0", "0344bad189b8e49f"),
-    ("lattice", "matrices", "fig1.json"): ("3ea7e71353370abf", "11f0d9be101cac57", "2dfc081f89a6eb39"),
-    ("lattice", "matrices", "path4.json"): ("fc3cc6e4dad11992", "391bf65fae790295", "6d2a7297cf4f4185"),
+    ("lattice", "matrices", "fano.json"): ("1d756da7ddb70e2b", "39fac8671c9fa4f2", "0344bad189b8e49f"),
+    ("lattice", "matrices", "fig1.json"): ("3ea7e71353370abf", "aa04e7941b11dda4", "2dfc081f89a6eb39"),
+    ("lattice", "matrices", "path4.json"): ("fc3cc6e4dad11992", "6b81c0c3200b33aa", "6d2a7297cf4f4185"),
     ("cir", "matrices", "cipnet.json"): ("464fc0fe30b25af6", "442e6e9db52bb5f5"),
     ("cir", "matrices", "fano.json"): ("349abe1272178917", "24ac0ae109373c2b"),
     ("cir", "matrices", "fig1.json"): ("f33ae3bc9a22cd75", "dcd64fe0a6ac85c1"),
     ("cir", "matrices", "path4.json"): ("fa133e252b97d108", "bebc2bd3539202ce"),
     ("tactical", "matrices", "cipnet.json"): ("0331f4b63b1b05f1", "5bab581add0f5ac8", "9553cae180fe6f6b"),
-    ("tactical", "matrices", "fano.json"): ("84501511078bdaaa", "c78fd00f09ac44df", "07f1c1e2c93b9bec"),
-    ("tactical", "matrices", "fig1.json"): ("1ce31544fecea719", "244b3f4423f8be0f", "15d08e90eb9b7948"),
-    ("tactical", "matrices", "k13.json"): ("c887dd9abe191e2a", "bf9bde4b5b9334e5", "cefeb9cf2ef4a771"),
-    ("tactical", "matrices", "path4.json"): ("e0d7ca5d99829417", "87a53ed6462d4fd8", "b6b6ffcaee0bd964"),
-    ("tactical", "matrices", "rect.json"): ("1e11e57be08529cd", "a2ff6ddfeb5fdff8", "ba89617493b8d899"),
-    ("tactical", "incidence", "fano.json"): ("84501511078bdaaa", "c78fd00f09ac44df", "07f1c1e2c93b9bec"),
-    ("tactical", "incidence", "k13.json"): ("c887dd9abe191e2a", "bf9bde4b5b9334e5", "cefeb9cf2ef4a771"),
+    ("tactical", "matrices", "fano.json"): ("84501511078bdaaa", "4053c91dabbd6520", "07f1c1e2c93b9bec"),
+    ("tactical", "matrices", "fig1.json"): ("1ce31544fecea719", "f969a41d6f021311", "15d08e90eb9b7948"),
+    ("tactical", "matrices", "k13.json"): ("c887dd9abe191e2a", "424d90dac8279e0e", "cefeb9cf2ef4a771"),
+    ("tactical", "matrices", "path4.json"): ("e0d7ca5d99829417", "46d5d7cc0f795d0b", "b6b6ffcaee0bd964"),
+    ("tactical", "matrices", "rect.json"): ("1e11e57be08529cd", "9a7160fb42c766e0", "ba89617493b8d899"),
+    ("tactical", "incidence", "fano.json"): ("84501511078bdaaa", "4053c91dabbd6520", "07f1c1e2c93b9bec"),
+    ("tactical", "incidence", "k13.json"): ("c887dd9abe191e2a", "424d90dac8279e0e", "cefeb9cf2ef4a771"),
     ("balanced", "network", "balex2.json"): ("8af783ffd236d848", "b2f389ecde104af1", "68ccb802b7596311"),
     ("balanced", "network", "forpath.json"): ("c345301e50bdb894", "ecfed398dab22d3c", "1209c6eb6cba3f17"),
     ("exo-balanced", "network", "balex2.json"): ("8af783ffd236d848", "b2f389ecde104af1", "68ccb802b7596311"),
     ("exo-balanced", "network", "forpath.json"): ("b5af2adeb0be6562", "341e269caa5915bc", "e0cfa0b7a84d6522"),
-    ("equitable", "adjacency", "path4.json"): ("fc3cc6e4dad11992", "391bf65fae790295", "6d2a7297cf4f4185"),
-    ("almost-equitable", "adjacency", "path4.json"): ("4ec39f5c52ac82a6", "0c43c91e7a4086d6", "c5b01f90c3203977"),
-    ("cayley", "group", "q8.json"): ("339867f7b93e9e79", "76cd6d60ef463de7", "9ebb42ef70d28e11"),
+    ("equitable", "adjacency", "path4.json"): ("fc3cc6e4dad11992", "6b81c0c3200b33aa", "6d2a7297cf4f4185"),
+    ("almost-equitable", "adjacency", "path4.json"): ("4ec39f5c52ac82a6", "9ef59cb3425b1a1e", "c5b01f90c3203977"),
+    ("cayley", "group", "q8.json"): ("339867f7b93e9e79", "50c77821dc55a626", "9ebb42ef70d28e11"),
 }
 
 

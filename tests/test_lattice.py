@@ -24,12 +24,12 @@ from synclat import (
     tactical_lattice,
     zeros,
 )
-from synclat.lattice import _filter_table, _run_task, _witnesses
+from synclat.lattice import _filter_table, _run_task, _transposed, _witnesses
 from synclat.partition import canonical_coloring
 from synclat.refine import _prepare, _start_state
 from conftest import FIG1_BARS, bar
 from test_tactical import rand_rect_family
-from test_witness import planted_family, symmetric_circulant_family
+from test_witness import earlier_weights, planted_family, symmetric_circulant_family
 
 
 def rand_family(rng, n):
@@ -190,7 +190,7 @@ def test_visited_cap_saturates_the_count(monkeypatch):
 
     family = MatrixFamily([cycle_graph(8)])
     full = invariant_lattice(family, workers=1)
-    assert (full.stats.visited_partitions, full.stats.visited_exact) == (110, True)
+    assert (full.stats.visited_partitions, full.stats.visited_exact) == (71, True)
     monkeypatch.setattr(lattice, "_VISITED_CAP", 5)
     capped = invariant_lattice(family, workers=1)
     # the tracker stops one partition past the cap and keeps that count
@@ -285,13 +285,17 @@ def test_complete_graph_k7_refines_each_element_once(split_passes):
 
 def split_starts(element, table):
     """The start of every split that ``_run_task`` refines, in order,
-    numbered by ``canonical_coloring``."""
+    numbered by ``canonical_coloring``: the splits that ``_witnesses``
+    yields whose witness S gives one F-weight to each member of every
+    earlier class."""
     col, classes = _start_state(element)
     starts = []
-    for members in classes:
+    for color, members in enumerate(classes):
         if len(members) < 2:
             continue
-        for _, outside in _witnesses(table, col, members):
+        for inside, outside in _witnesses(table, col, members):
+            if any(len(w) > 1 for w in earlier_weights(table, classes, color, inside)):
+                continue
             labels = list(col)
             for i in outside:
                 labels[i] = len(classes) + 1
@@ -313,9 +317,10 @@ def split_starts(element, table):
 def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_known):
     engine = MatrixFamily([graph]).engine()
     table = _filter_table(engine)
+    back = _transposed(table)
     element = Partition.from_bar(top, graph.rows).coloring
     plain = []
-    want = _run_task(engine, table, set(), set(), element, plain.append)
+    want = _run_task(engine, table, back, set(), set(), element, plain.append)
     refined = len(split_passes)
     assert refined > 0
     # known colorings that no split starts from change nothing, as a set or
@@ -323,7 +328,7 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     for known in ({element}, {element: element}):
         split_passes.clear()
         steps = []
-        got = _run_task(engine, table, known, set(), element, steps.append)
+        got = _run_task(engine, table, back, known, set(), element, steps.append)
         assert (got, steps, len(split_passes)) == (want, plain, refined)
     # a split whose start is a known fixpoint is answered by the lookup; had
     # it been refined, it would have made one report and, with fewer than n
@@ -333,7 +338,7 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     assert answered and (len(answered) == want[1]) == all_known
     split_passes.clear()
     steps = []
-    got = _run_task(engine, table, known, set(), element, steps.append)
+    got = _run_task(engine, table, back, known, set(), element, steps.append)
     assert got == want
     assert len(steps) == len(plain) - len(answered)
     assert len(split_passes) == refined - sum(max(s) < len(s) for s in answered)
@@ -353,7 +358,7 @@ def test_every_coloring_the_refinement_hands_out_is_canonical():
         return out
 
     checked = 0
-    for trial in range(45):
+    for trial in range(72):
         make = (planted_family, symmetric_circulant_family, rand_rect_family)[trial % 3]
         if make is rand_rect_family:
             fam = make(rng, rng.randint(2, 5), rng.randint(2, 5))
@@ -371,10 +376,11 @@ def test_every_coloring_the_refinement_hands_out_is_canonical():
                     assert part.coloring == canonical_coloring(part.coloring)
         engine, _, _ = _prepare(fam, lattice.elements[0])
         table = _filter_table(engine)
+        back = _transposed(table)
         for element in lattice.elements:
             _, coloring, _ = _prepare(fam, element)
             reports = []
-            found, _, _ = _run_task(engine, table, set(), set(), coloring, reports.append)
+            found, _, _ = _run_task(engine, table, back, set(), set(), coloring, reports.append)
             # each split is reported from its own start, numbered canonically
             assert set(split_starts(coloring, table)) <= set(reports)
             for handed_out in [*reports, *found]:

@@ -221,8 +221,8 @@ def test_tactical_lattice_petersen_pooled():
     assert par.cover_edges == seq.cover_edges
     # the work of the sequential search, pinned
     stats = seq.stats
-    assert (stats.cir_calls, stats.splits_examined, stats.popped) == (4473, 4472, 134)
-    assert (stats.visited_partitions, stats.queue_peak) == (6935, 82)
+    assert (stats.cir_calls, stats.splits_examined, stats.popped) == (902, 901, 134)
+    assert (stats.visited_partitions, stats.queue_peak) == (2765, 82)
 
 
 def test_tactical_lattice_petersen_pooled_json_is_reproducible():
@@ -237,7 +237,7 @@ def test_tactical_lattice_petersen_refinement_passes(split_passes):
     # each kept refinement chain is the one split credited with its result,
     # so no lower cover is refined twice
     tactical_lattice(petersen_incidence())
-    assert len(split_passes) == 7403
+    assert len(split_passes) == 3233
 
 
 def block_matrix(m):

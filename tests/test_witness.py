@@ -34,10 +34,16 @@ from synclat import (
     tactical_cir,
     tactical_lattice,
 )
-from synclat.lattice import _filter_table, _invariant_below, _run_task, _witnesses
+from synclat.lattice import (
+    _filter_table,
+    _invariant_below,
+    _run_task,
+    _transposed,
+    _witnesses,
+)
 from synclat.networks import network_from_adjacencies
-from synclat.partition import iter_cover_colorings
-from synclat.refine import _pack, _start_state
+from synclat.partition import canonical_coloring, iter_cover_colorings
+from synclat.refine import _pack, _square_fixpoint, _start_state
 from test_tactical import petersen_incidence, rand_rect_family
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -216,7 +222,7 @@ def test_cycle_19_refines_few_splits():
     lat = invariant_lattice(MatrixFamily([cycle_graph(19)]))
     stats = lat.stats
     assert len(lat) == 21
-    assert stats.splits_examined == 638
+    assert stats.splits_examined == 486
     # the unpruned search refines every one-class split of every element
     assert stats.splits_examined + stats.splits_pruned == 262314
     assert stats.cir_calls == stats.splits_examined + 1
@@ -266,7 +272,7 @@ def test_each_fixpoint_is_kept_from_one_split():
     # S is L's class of min X: no two splits of an element keep one fixpoint
     rng = random.Random(13)
     cases = [(petersen_incidence(), tactical_lattice)]
-    for _ in range(10):
+    for _ in range(70):
         n = rng.randint(3, 8)
         cases += [
             (planted_family(rng, n), invariant_lattice),
@@ -279,10 +285,11 @@ def test_each_fixpoint_is_kept_from_one_split():
         tactical = search is tactical_lattice
         engine = family.block_engine() if tactical else family.engine()
         table = _filter_table(engine)
+        back = _transposed(table)
         for element in lat.elements:
-            # with nothing known, every split is refined
+            # with nothing known, no split is answered by lookup
             start = element.joined() if tactical else element.coloring
-            found, examined, _ = _run_task(engine, table, set(), set(), start)
+            found, examined, _ = _run_task(engine, table, back, set(), set(), start)
             assert len(found) == len(set(found))
             refined += examined
     assert refined > 4000
@@ -311,6 +318,84 @@ def test_filter_passes_the_witness_of_every_brute_force_cover():
                         assert (witness, sorted(set(members) - set(witness))) in splits
                         checked += 1
     assert checked > 100
+
+
+def earlier_weights(table, classes, color, inside):
+    """For each class before ``classes[color]``, the set of F-weights
+    sum_{j in S} F_ij that its members get from S = ``inside``."""
+    inside = set(inside)
+    return [
+        {sum(w for j, w in table[i] if j in inside) for i in earlier}
+        for earlier in classes[:color]
+    ]
+
+
+def test_earlier_classes_get_uniform_weight_from_every_cover_witness():
+    # the premise of _run_task's second stage: for every cover (E, L) of the
+    # brute-force lattice, with X the first class of E that L splits and S
+    # the class of L that holds X's smallest member, each class of E before
+    # X gets one F-weight from S
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(12):
+        for family in (
+            planted_family(rng, rng.randint(2, 7)),
+            symmetric_circulant_family(rng, rng.randint(4, 7)),
+        ):
+            elements = sorted(brute_invariant_set(family), key=lambda p: p.coloring)
+            table = _filter_table(family.engine())
+            for coarse, fine in hasse_edges(elements):
+                _, classes = _start_state(elements[coarse].coloring)
+                below = elements[fine].coloring
+                color = next(
+                    c for c, members in enumerate(classes)
+                    if len({below[i] for i in members}) > 1
+                )
+                members = classes[color]
+                witness = [i for i in members if below[i] == below[members[0]]]
+                weights = earlier_weights(table, classes, color, witness)
+                assert all(len(w) == 1 for w in weights)
+                checked += sum(len(earlier) > 1 for earlier in classes[:color])
+    assert checked > 20
+
+
+def test_rejected_splits_are_ones_the_guard_drops():
+    # every split that passes _witnesses but gives some earlier class
+    # unequal F-weights starts a chain that the guard abandons, and
+    # _run_task refines exactly the splits that give none
+    rng = random.Random(19)
+    cases = [(petersen_incidence(), tactical_lattice)]
+    for _ in range(10):
+        cases += [
+            (planted_family(rng, rng.randint(3, 8)), invariant_lattice),
+            (symmetric_circulant_family(rng, rng.randint(4, 10)), invariant_lattice),
+            (rand_rect_family(rng, rng.randint(1, 5), rng.randint(1, 5)), tactical_lattice),
+        ]
+    rejected = 0
+    for family, search in cases:
+        tactical = search is tactical_lattice
+        engine = family.block_engine() if tactical else family.engine()
+        table = _filter_table(engine)
+        back = _transposed(table)
+        for element in search(family).elements:
+            start = element.joined() if tactical else element.coloring
+            col, classes = _start_state(start)
+            passed = 0
+            for color, members in enumerate(classes):
+                for inside, outside in _witnesses(table, col, members):
+                    weights = earlier_weights(table, classes, color, inside)
+                    if all(len(w) == 1 for w in weights):
+                        passed += 1
+                        continue
+                    labels = list(col)
+                    for i in outside:
+                        labels[i] = len(classes) + 1
+                    split_col, split_classes = _start_state(canonical_coloring(labels))
+                    assert _square_fixpoint(engine, split_col, split_classes, witness=members[0]) is None
+                    rejected += 1
+            _, examined, _ = _run_task(engine, table, back, set(), set(), start)
+            assert examined == passed
+    assert rejected > 3000
 
 
 def cycle_engine(n):
