@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(run=_cmd_cir)
             continue
         p.add_argument("--cap", type=int, default=10**6, help="element cap (exit 3 when exceeded)")
-        p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
     return parser
 
 
@@ -251,7 +250,7 @@ def _lattices(args) -> Iterator[tuple]:
     def wants(command: str) -> bool:
         return args.command in (command, "verify")
 
-    kw = {"workers": args.workers, "element_cap": args.cap}
+    kw = {"element_cap": args.cap}
     if args.network:
         net = ColoredNetwork.from_json_dict(_load_json(args.network))
         fam = monochrome_adjacency(net)

@@ -21,12 +21,9 @@ from that start (:func:`synclat.refine._prepare` maps a pair onto it).
 Canonical joined colorings number the row classes first, so their order is
 the order of (row, column) pairs.
 
-Each element is one task.  The search walks the lattice level by level,
-each level in order of discovery, which is the order a FIFO queue pops
-elements in.  All tasks of a level go to one ``map``: the builtin one with
-one worker, the process pool's with more.  Both return results in task
-order, so the elements, the cover edges and every stat but the inline-only
-``visited_*`` are the same for any worker count.
+The search runs in one process and walks the lattice level by level, each
+level in order of discovery, which is the order a FIFO queue pops elements
+in.
 
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice, so covers are not inherited from the ambient lattice.
@@ -72,13 +69,12 @@ Every element is reached from the top through covers, so the elements are
 the same too.  A split Q that is already an element is invariant, so
 cir(Q) = Q with no step, and the guard holds: the refinement would return Q
 itself.  So :func:`_run_task` numbers Q canonically and looks it up among
-the elements already found (inline, all of them; in a pool worker, those it
-has returned) before the second stage or a pass.  Q still counts as a
-refined split, since its cir is known exactly, and was reported as the last
-step of the refinement that found it.  On K_n every split is an element, so
-an inline search refines each element once.  Q is a kept result itself, so
-it would pass the second stage too, and the counts do not depend on what is
-known.
+the elements already found before the second stage or a pass.  Q still
+counts as a refined split, since its cir is known exactly, and was reported
+as the last step of the refinement that found it.  On K_n every split is an
+element, so the search refines each element once.  Q is a kept result
+itself, so it would pass the second stage too, and the counts do not depend
+on what is known.
 
 The S that pass the filter are found by lazy backtracking over X in
 breadth-first order from x0: a member of S is checked once it and all its
@@ -91,19 +87,16 @@ without checks.  That holds for every class of K_n, since W = J - I and
 W² = (n - 2)J + I are uniform on every class.  A class of a tactical search
 lies on one side and gets no weight from it under W, but under
 W² = diag(M M^T, M^T M) it does.  Uniformity reads only the weights inside
-X, so it depends only on X's members: each search (each pool worker) keeps
-the member tuples of the classes it found uniform and does not read their
-weights again.
+X, so it depends only on X's members: each search keeps the member tuples
+of the classes it found uniform and does not read their weights again.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import groupby
 from typing import Callable, Container, Iterable, Iterator, Optional
 
@@ -139,15 +132,12 @@ class LatticeStats:
     of the whole run report: the start of each (the search's start and every
     split that was refined) and each strict step before the guard of the
     module docstring abandons it (pairs of partitions for a tactical
-    lattice).  It is collected exactly in every ``workers == 1`` run, square
-    or tactical, up to 2·10^6 partitions, after which ``visited_exact`` drops
-    to False; multi-worker runs report None since unioning the per-worker
-    sets would dwarf the actual computation.
+    lattice).  It is exact up to 2·10^6 partitions, after which
+    ``visited_exact`` drops to False.
 
     ``queue_peak`` is the longest a FIFO element queue would grow: the
     elements of the current level not yet read plus those found for the
-    next.  Results come back in task order for any worker count, so it is
-    the same for every worker count.
+    next.
 
     ``splits_examined`` counts the one-class splits that were refined and
     ``splits_pruned`` those that either stage of the filter skipped: the
@@ -155,9 +145,8 @@ class LatticeStats:
     unequal F-weights from S (see the module docstring).  Together they are
     the sum of 2^(s-1) - 1 over the classes of every element.  A
     split that is already an element is answered without a refinement pass
-    but counts as examined, since its cir is known exactly, so the counts do
-    not depend on the worker count.  ``cir_calls`` is ``splits_examined``
-    plus the top.
+    but counts as examined, since its cir is known exactly.  ``cir_calls``
+    is ``splits_examined`` plus the top.
 
     The counts describe the search that ran: for balanced and exo-balanced
     partitions, the search below the cell types, not the whole lattice.
@@ -168,7 +157,7 @@ class LatticeStats:
     splits_pruned: int = 0
     queue_peak: int = 0
     popped: int = 0
-    visited_partitions: Optional[int] = None
+    visited_partitions: int = 0
     visited_exact: bool = False
 
     def to_json_dict(self) -> dict:
@@ -234,84 +223,69 @@ class InvariantLattice:
         return out
 
 
-def invariant_lattice(
-    family: MatrixFamily,
-    *,
-    workers: int = 1,
-    element_cap: int = 10**6,
-) -> InvariantLattice:
+def invariant_lattice(family: MatrixFamily, **kwargs) -> InvariantLattice:
     """All partitions invariant under every matrix of the square family.
 
-    ``workers`` > 1 distributes the cover refinements over processes; the
-    result is identical for any worker count.  ``element_cap`` bounds the
-    number of lattice elements (the lattice can be the whole partition
-    lattice, which grows like the Bell numbers) and trips
+    The keywords are those of :func:`_invariant_below`.  ``element_cap``
+    bounds the number of lattice elements (the lattice can be the whole
+    partition lattice, which grows like the Bell numbers) and trips
     :class:`ElementCapExceeded` when exceeded.
     """
-    return _invariant_below(
-        family,
-        Partition.singleton(family.cols),
-        workers=workers,
-        element_cap=element_cap,
-    )
+    return _invariant_below(family, Partition.singleton(family.cols), **kwargs)
 
 
-def _invariant_below(family: MatrixFamily, top: Element, **kwargs) -> InvariantLattice:
+def _invariant_below(
+    family: MatrixFamily, top: Element, *, element_cap: int = 10**6, workers: int = 1
+) -> InvariantLattice:
     """The invariant partitions (tactical pairs, for a pair ``top``) that
     refine ``top``, found by the search from cir(top); the element cap and
-    the stats count only that down-set."""
+    the stats count only that down-set.
+
+    Every front end reaches this function.  ``workers`` must be at least 1
+    and otherwise changes nothing: the search runs in this process.  The
+    keyword stays only because ``bench/run.py`` passes it, and goes once the
+    benchmark stops passing it.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     engine, start, decode = _prepare(family, top)
-    found, stats, edges = _search(engine, start, **kwargs)
+    found, stats, edges = _search(engine, start, element_cap=element_cap)
     return InvariantLattice(tuple(map(decode, found)), edges, stats)
 
 
-def tactical_lattice(
-    family: MatrixFamily,
-    *,
-    element_cap: int = 10**6,
-    workers: int = 1,
-) -> InvariantLattice:
+def tactical_lattice(family: MatrixFamily, **kwargs) -> InvariantLattice:
     """All tactical decompositions of a (possibly rectangular) family.
 
     The search of :func:`invariant_lattice` on the block family
     [[0, M_l], [M_l^T, 0]] from the split {rows | columns}, with the same
-    use of ``workers``.  The pair of all-singletons partitions is always
-    tactical, so the lattice is never empty.
+    keywords.  The pair of all-singletons partitions is always tactical, so
+    the lattice is never empty.
     """
     return _invariant_below(
-        family,
-        PartitionPair.singleton(family.rows, family.cols),
-        workers=workers,
-        element_cap=element_cap,
+        family, PartitionPair.singleton(family.rows, family.cols), **kwargs
     )
 
 
-def _search(
-    engine: tuple, start: tuple, *, workers: int = 1, element_cap: int = 10**6
-) -> tuple:
+def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
     """Split and cir from cir(start), for a canonical start coloring; returns
     the sorted canonical colorings of the elements, the stats and the cover
     edges as sorted (coarser, finer) index pairs into the elements.
 
-    The walk goes level by level: the elements of a level go to one ``map``
-    (builtin and lazy inline, the pool's otherwise, in about four chunks per
-    worker) and their results come back in order, so each element's lower
-    covers are the maxima of its kept fixpoints.
+    The walk goes level by level, one element at a time, so each task looks
+    up every element found before it and each element's lower covers are
+    the maxima of its kept fixpoints.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
-    visited: set = set()  # the canonical colorings that refinements report
-    on_step = None
-    if workers == 1:
-        # colors are bounded by the ground-set size, so byte strings are a
-        # compact set key; the set stops growing one item past the cap
-        cap, compact = _VISITED_CAP, len(start) < 256
+    # the canonical colorings that refinements report; colors are bounded by
+    # the ground-set size, so byte strings are a compact set key, and the set
+    # stops growing one item past the cap
+    visited: set = set()
+    cap, compact = _VISITED_CAP, len(start) < 256
 
-        def on_step(coloring: tuple) -> None:
-            if len(visited) <= cap:
-                visited.add(bytes(coloring) if compact else coloring)
+    def on_step(coloring: tuple) -> None:
+        if len(visited) <= cap:
+            visited.add(bytes(coloring) if compact else coloring)
 
     top = _square_fixpoint(engine, *_start_state(start), on_step)
     seen = {top: top}  # the one stored instance of each element
@@ -320,49 +294,34 @@ def _search(
     queue_peak = 1
     table = _filter_table(engine)
     back = _transposed(table)
-    pool = None
-    if workers == 1:
-        # the builtin map is lazy, so each task starts once the results
-        # before it are read and seen holds every element found so far
-        run = partial(
-            map, partial(_run_task, engine, table, back, seen, set(), on_step=on_step)
-        )
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(engine, table, back)
-        )
-
-        def run(level: list) -> Iterator[tuple]:
-            chunk = math.ceil(len(level) / (4 * workers))
-            return pool.map(_pool_run_task, level, chunksize=chunk)
-    try:
-        level = [top]
-        while level:
-            fresh: list = []  # the next level, in order of discovery
-            for i, (element, (found, examined, skipped)) in enumerate(zip(level, run(level))):
-                splits += examined
-                pruned += skipped
-                for fixpoint in found:
-                    if fixpoint not in seen:
-                        seen[fixpoint] = fixpoint
-                        fresh.append(fixpoint)
-                        if len(seen) > element_cap:
-                            raise ElementCapExceeded(len(seen), element_cap)
-                # a FIFO queue would hold the rest of this level and fresh
-                queue_peak = max(queue_peak, len(level) - 1 - i + len(fresh))
-                covers.extend((element, seen[cover]) for cover in _maxima(found))
-            level = fresh
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    uniform: set = set()
+    level = [top]
+    while level:
+        fresh: list = []  # the next level, in order of discovery
+        for i, element in enumerate(level):
+            found, examined, skipped = _run_task(
+                engine, table, back, seen, uniform, element, on_step
+            )
+            splits += examined
+            pruned += skipped
+            for fixpoint in found:
+                if fixpoint not in seen:
+                    seen[fixpoint] = fixpoint
+                    fresh.append(fixpoint)
+                    if len(seen) > element_cap:
+                        raise ElementCapExceeded(len(seen), element_cap)
+            # a FIFO queue would hold the rest of this level and fresh
+            queue_peak = max(queue_peak, len(level) - 1 - i + len(fresh))
+            covers.extend((element, seen[cover]) for cover in _maxima(found))
+        level = fresh
     stats = LatticeStats(
         cir_calls=1 + splits,
         splits_examined=splits,
         splits_pruned=pruned,
         queue_peak=queue_peak,
         popped=len(seen),  # every element found is expanded once
-        visited_partitions=len(visited) if workers == 1 else None,
-        visited_exact=workers == 1 and len(visited) <= _VISITED_CAP,
+        visited_partitions=len(visited),
+        visited_exact=len(visited) <= _VISITED_CAP,
     )
     elements = sorted(seen)
     index = {element: i for i, element in enumerate(elements)}
@@ -529,24 +488,6 @@ def _witnesses(
             inside = [i for i in members if in_s[i]]
             if len(inside) < size:
                 yield inside, [i for i in members if not in_s[i]]
-
-
-# Pool workers receive the engine and F's rows and columns once, through
-# the initializer, instead of with every task.  Each worker keeps, for the
-# search that started its pool, the fixpoints it has returned (all elements)
-# and the classes it found uniform.
-_WORKER_ARGS: tuple = ()
-
-
-def _pool_init(engine: tuple, table: tuple, back: list) -> None:
-    global _WORKER_ARGS
-    _WORKER_ARGS = (engine, table, back, set(), set())
-
-
-def _pool_run_task(element: tuple) -> tuple:
-    found, examined, skipped = _run_task(*_WORKER_ARGS, element)
-    _WORKER_ARGS[3].update(found)
-    return found, examined, skipped
 
 
 def filter_below(lattice: InvariantLattice, top: Partition) -> InvariantLattice:

@@ -337,17 +337,10 @@ def test_argparse_error_exit_2():
     assert info.value.code == 2
 
 
-def test_workers_flag_matches_sequential(capsys):
-    base = run(capsys, "lattice", "--matrices", path("fig1.json"))[1]
-    par = run(
-        capsys, "lattice", "--matrices", path("fig1.json"), "--workers", "2"
-    )[1]
-    assert base == par
-    base = run(capsys, "tactical", "--incidence", path("fano.json"))[1]
-    par = run(
-        capsys, "tactical", "--incidence", path("fano.json"), "--workers", "2"
-    )[1]
-    assert base == par
+def test_workers_flag_is_gone():
+    with pytest.raises(SystemExit) as info:
+        main(["lattice", "--matrices", path("fig1.json"), "--workers", "2"])
+    assert info.value.code == 2
 
 
 def verify_lines(err):
@@ -430,8 +423,7 @@ def test_square_verify_skips_past_the_oracle_cap(capsys, tmp_path):
 
 
 def test_worker_count_does_not_depend_on_the_host(capsys, tmp_path, monkeypatch):
-    # --workers defaults to one inline worker on any host, so the JSON
-    # stats stay exact
+    # the search runs in-process on any host, so the JSON stats stay exact
     cycle = tmp_path / "c14.json"
     cycle.write_text(json.dumps(cycle_graph(14).to_json_dict()))
     monkeypatch.setattr(os, "cpu_count", lambda: 8)

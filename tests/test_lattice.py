@@ -1,7 +1,6 @@
 import multiprocessing
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -17,6 +16,7 @@ from synclat import (
     cir_chain,
     complete_graph,
     cycle_graph,
+    equitable_partitions,
     filter_below,
     hasse_edges,
     invariant_lattice,
@@ -144,6 +144,7 @@ def test_deterministic_across_runs_and_workers(fig1_family, posetalgo_family):
         for other in runs[1:]:
             assert other.elements == runs[0].elements
             assert other.cover_edges == runs[0].cover_edges
+            assert other.stats == runs[0].stats
 
 
 def test_membership_and_index_of_complete_graph():
@@ -232,8 +233,28 @@ def test_element_cap_below_one_is_rejected(cap, balex2_net):
             compute(arg, element_cap=cap)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_is_rejected(workers, balex2_net):
+    diagonal = MatrixFamily([[[1, 0], [0, 2]]])
+    for compute, arg in (
+        (invariant_lattice, diagonal),
+        (tactical_lattice, diagonal),
+        (balanced_partitions, balex2_net),
+        (equitable_partitions, cycle_graph(4)),
+    ):
+        with pytest.raises(ValueError, match="workers"):
+            compute(arg, workers=workers)
+
+
+def test_workers_keyword_starts_no_process():
+    # any worker count runs the search in this process
+    lat = invariant_lattice(MatrixFamily([cycle_graph(8)]), workers=2)
+    assert multiprocessing.active_children() == []
+    assert lat.stats == invariant_lattice(MatrixFamily([cycle_graph(8)])).stats
+
+
 def test_pooled_cap_abort_leaves_no_workers():
-    # the pool is shut down and joined even when the cap ends the search
+    # workers=2 starts no process, also when the cap ends the search
     with pytest.raises(ElementCapExceeded):
         invariant_lattice(MatrixFamily([zeros(5, 5)]), element_cap=10, workers=2)
     assert multiprocessing.active_children() == []
@@ -243,8 +264,7 @@ def test_pooled_cap_abort_leaves_no_workers():
 
 
 def test_pooled_complete_graph_k8_matches_inline():
-    # 4140 elements: a pooled search must not slow down with the number of
-    # outstanding tasks
+    # 4140 elements: workers=2 runs the same search in this process
     fam = MatrixFamily([complete_graph(8)])
     inline = invariant_lattice(fam)
     t0 = time.monotonic()
@@ -253,8 +273,7 @@ def test_pooled_complete_graph_k8_matches_inline():
     assert len(pooled) == bell_number(8) == 4140
     assert pooled.elements == inline.elements
     assert pooled.cover_edges == inline.cover_edges
-    for field in ("cir_calls", "splits_examined", "popped"):
-        assert getattr(pooled.stats, field) == getattr(inline.stats, field)
+    assert pooled.stats == inline.stats
     assert elapsed < 15.0
 
 
@@ -277,10 +296,10 @@ def test_complete_graph_k7_refines_each_element_once(split_passes):
         stats.visited_partitions,
         stats.visited_exact,
     ) == (4803, 4802, 0, 467, 877, 877, True)
-    pooled = invariant_lattice(fam, workers=2)
-    assert pooled.elements == inline.elements
-    assert pooled.cover_edges == inline.cover_edges
-    assert pooled.stats == replace(stats, visited_partitions=None, visited_exact=False)
+    two = invariant_lattice(fam, workers=2)
+    assert two.elements == inline.elements
+    assert two.cover_edges == inline.cover_edges
+    assert two.stats == stats
 
 
 def split_starts(element, table):
@@ -387,11 +406,9 @@ def test_every_coloring_the_refinement_hands_out_is_canonical():
                 assert handed_out == canonical_coloring(handed_out)
                 checked += 1
         if trial < 3:
-            pooled = search(fam, workers=2)
-            assert (pooled.elements, pooled.cover_edges) == (lattice.elements, lattice.cover_edges)
-            assert pooled.stats == replace(
-                lattice.stats, visited_partitions=None, visited_exact=False
-            )
+            two = search(fam, workers=2)
+            assert (two.elements, two.cover_edges) == (lattice.elements, lattice.cover_edges)
+            assert two.stats == lattice.stats
     assert checked > 1000
 
 
