@@ -40,15 +40,20 @@ give one:
   into V, and so does every linear combination of the M_l and of their
   products.  A matrix F that maps V into V maps the indicator of the class S
   into V, so every i in S gets the same in-weight sum_{j in S} F_ij from S.
-  The search takes F = W + K·W² (see :func:`synclat.refine._filter_table`),
-  where W is the engine's packed family (:func:`synclat.refine._pack`), W²
-  its exact integer square and K = 2·max_i sum_j |W_ij| + 1.  An in-weight
-  under W is below K/2 in absolute value, so an in-weight under F encodes
-  the in-weights under W and under W² exactly, and S passes when both are
-  uniform on S.  Any F that maps V into V gives a sound filter; the exact
-  digits only make this one stronger.  L splits no class Y of E before X,
-  so each such Y is a class of L too, and F maps the indicator of S to a
-  vector constant on Y: every member of Y gets the same F-weight
+  The search takes F = W + K·W² + K²·W³ (see
+  :func:`synclat.refine._filter_table`), where W is the engine's packed
+  family (:func:`synclat.refine._pack`), W² and W³ its exact integer powers
+  and K = 2·max_i sum_j |(W^p)_ij| + 1 over p = 1, 2.  An in-weight under W
+  or W² is below K/2 in absolute value, so an in-weight under F encodes the
+  in-weights under W, W² and W³ exactly, and S passes when all three are
+  uniform on S.  Every X lies inside one class of the start, so the check
+  on S reads no entry of W³ whose ends the start keeps apart.  When the
+  start keeps apart the ends of every nonzero entry of W³, F is W + K·W²,
+  with K over p = 1 alone: so it is on the tactical search, whose W³ maps
+  rows to columns.  Any F that maps V into V gives a sound filter; the
+  exact digits only make this one stronger.  L splits no class Y of E
+  before X, so each such Y is a class of L too, and F maps the indicator of
+  S to a vector constant on Y: every member of Y gets the same F-weight
   sum_{j in S} F_yj from S.  A second stage checks that on every earlier
   class with two or more members, adding the weights over F's columns
   (:func:`_transposed`).  Only splits that pass both stages are refined.
@@ -83,12 +88,13 @@ explicit stack, so a class of any size is searched without recursion.  When
 the weights inside X are uniform (one diagonal value d, and either no
 off-diagonal weight or one value w on every off-diagonal pair), each i in S
 gets d + (|S| - 1)w, every S passes, and the splits are the plain masks
-without checks.  That holds for every class of K_n, since W = J - I and
-W² = (n - 2)J + I are uniform on every class.  A class of a tactical search
-lies on one side and gets no weight from it under W, but under
-W² = diag(M M^T, M^T M) it does.  Uniformity reads only the weights inside
-X, so it depends only on X's members: each search keeps the member tuples
-of the classes it found uniform and does not read their weights again.
+without checks.  That holds for every class of K_n, since W = J - I and its
+powers, such as W² = (n - 2)J + I, are uniform on every class.  A class of a
+tactical search lies on one side and gets no weight from it under W, but
+under W² = diag(M M^T, M^T M) it does.  Uniformity reads only the weights
+inside X, so it depends only on X's members: each search keeps the member
+tuples of the classes it found uniform and does not read their weights
+again.
 """
 
 from __future__ import annotations
@@ -292,7 +298,7 @@ def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
     covers = []  # (coarser, finer) pairs of instances stored in seen
     splits = pruned = 0
     queue_peak = 1
-    table = _filter_table(engine)
+    table = _filter_table(engine, start)
     back = _transposed(table)
     uniform: set = set()
     level = [top]

@@ -186,20 +186,52 @@ def _pack(matrices: list, n: int) -> tuple:
     return (tuple(rows), (0,) + tuple(base**c for c in range(n)), ones)
 
 
-def _filter_table(engine: tuple) -> tuple:
-    """The rows of F = W + K·W² for the packed weights W of the engine, with
-    K = 2·max_i sum_j |W_ij| + 1, each row the ``(j, F_ij)`` with F_ij != 0
-    in order of j; :mod:`synclat.lattice` filters splits with it."""
+def _filter_table(engine: tuple, start: Optional[Sequence[int]] = None) -> tuple:
+    """The rows of F = W + K·W² + K²·W³ for the packed weights W of the
+    engine, each row the ``(j, F_ij)`` with F_ij != 0 in order of j;
+    :mod:`synclat.lattice` filters splits with it.
+
+    W³ is taken only if it has an entry (i, j) != 0 with
+    ``start[i] == start[j]`` (any entry, for no ``start``): each class that
+    the search splits lies inside one class of its start coloring, and the
+    witness check reads no other entry.  On the block engine from
+    {rows | columns}, W³ maps each side to the other, so F stays W + K·W².
+
+    K is 2·max_i sum_j |(W^p)_ij| + 1 over the powers p below the highest
+    one taken.  Every in-weight under such a W^p is below K/2 in absolute
+    value, so an in-weight under F is the in-weights under each power, as
+    the digits of one integer in balanced base K (the highest power takes
+    the rest): equal F-weights mean equal in-weights under every power.
+    """
     rows, _, ones = engine
     if ones:
         rows = [[(j, 1) for j in row] for row in rows]
-    k = 2 * max(sum(abs(w) for _, w in row) for row in rows) + 1
+    powers = [[dict(row) for row in rows]]
+    for _ in range(2):  # W², then W³ = W·W²
+        last = powers[-1]
+        power = []
+        for row in rows:
+            weights: dict = {}
+            for j, w in row:
+                for t, x in last[j].items():
+                    weights[t] = weights.get(t, 0) + w * x
+            power.append({t: x for t, x in weights.items() if x})
+        powers.append(power)
+    if not any(
+        start is None or start[i] == start[j]
+        for i, row in enumerate(powers[2])
+        for j in row
+    ):
+        powers.pop()
+    k = 2 * max(sum(map(abs, row.values())) for p in powers[:-1] for row in p) + 1
     table = []
-    for row in rows:
-        weights = dict(row)
-        for j, w in row:
-            for t, x in rows[j]:
-                weights[t] = weights.get(t, 0) + k * w * x
+    for i in range(len(rows)):
+        weights = {}
+        scale = 1
+        for power in powers:
+            for j, x in power[i].items():
+                weights[j] = weights.get(j, 0) + scale * x
+            scale *= k
         table.append(tuple(sorted((j, x) for j, x in weights.items() if x)))
     return tuple(table)
 

@@ -253,7 +253,7 @@ def test_workers_keyword_starts_no_process():
     assert lat.stats == invariant_lattice(MatrixFamily([cycle_graph(8)])).stats
 
 
-def test_pooled_cap_abort_leaves_no_workers():
+def test_cap_abort_with_two_workers_starts_no_process():
     # workers=2 starts no process, also when the cap ends the search
     with pytest.raises(ElementCapExceeded):
         invariant_lattice(MatrixFamily([zeros(5, 5)]), element_cap=10, workers=2)
@@ -263,7 +263,7 @@ def test_pooled_cap_abort_leaves_no_workers():
     assert multiprocessing.active_children() == []
 
 
-def test_pooled_complete_graph_k8_matches_inline():
+def test_complete_graph_k8_with_two_workers_matches_one():
     # 4140 elements: workers=2 runs the same search in this process
     fam = MatrixFamily([complete_graph(8)])
     inline = invariant_lattice(fam)

@@ -22,8 +22,9 @@ from synclat import (
     matmul,
 )
 from synclat.oracle import all_partitions
-from synclat.refine import _split_pass, _square_fixpoint, _start_state
+from synclat.refine import _filter_table, _split_pass, _square_fixpoint, _start_state
 from conftest import M3_DIAG, M3_OTHER
+from test_tactical import rand_rect_family
 
 
 def rand_partition(rng, n):
@@ -327,3 +328,59 @@ def test_engine_of_rational_family_holds_only_ints():
             for entry in row:
                 leaves.extend(entry if isinstance(entry, tuple) else (entry,))
         assert leaves and all(type(x) is int for x in leaves)
+
+
+def times_packed(engine, vector):
+    """W·v for the packed weights W of the engine, read off its rows."""
+    rows, _, ones = engine
+    if ones:
+        return [sum(vector[j] for j in row) for row in rows]
+    return [sum(w * vector[j] for j, w in row) for row in rows]
+
+
+def test_filter_table_encodes_each_power_exactly():
+    # each F-weight sum_{j in S} F_ij, read in balanced base K, is the
+    # in-weights of i from S under W, W² and, where the start keeps the
+    # ends of a nonzero entry of W³ in one class, W³
+    rng = random.Random(25)
+    cases = [(MatrixFamily([cycle_graph(n)]).engine(), None) for n in (3, 8)]
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        engine = rand_family(rng, n, rational=True).engine()
+        cases += [(engine, None), (engine, rand_partition(rng, n).coloring)]
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        block = rand_rect_family(rng, m, n).block_engine()
+        cases += [(block, None), (block, [1] * m + [2] * n)]
+    taken = set()
+    for engine, start in cases:
+        n = len(engine[0])
+        columns = [[int(i == j) for i in range(n)] for j in range(n)]
+        power_columns = []  # item p - 1: the columns of W^p
+        for _ in range(3):
+            columns = [times_packed(engine, c) for c in columns]
+            power_columns.append(columns)
+        together = start or [1] * n
+        cube = any(
+            power_columns[2][j][i] and together[i] == together[j]
+            for i in range(n) for j in range(n)
+        )
+        powers = 3 if cube else 2
+        taken.add(powers)
+        k = 2 * max(
+            sum(abs(c[i]) for c in cols) for cols in power_columns[: powers - 1]
+            for i in range(n)
+        ) + 1
+        table = _filter_table(engine, start)
+        for _ in range(6):
+            inside = {j for j in range(n) if rng.random() < 0.5}
+            weights = [[int(j in inside) for j in range(n)]]
+            for _ in range(powers):
+                weights.append(times_packed(engine, weights[-1]))
+            for i, row in enumerate(table):
+                f = sum(x for j, x in row if j in inside)
+                digits = []
+                for _ in range(powers - 1):
+                    digits.append((f + k // 2) % k - k // 2)
+                    f = (f - digits[-1]) // k
+                assert digits + [f] == [w[i] for w in weights[1:]]
+    assert taken == {2, 3}

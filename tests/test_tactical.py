@@ -32,7 +32,7 @@ from synclat import (
     transpose,
 )
 from synclat.lattice import _invariant_below
-from synclat.refine import _square_fixpoint, _start_state
+from synclat.refine import _filter_table, _square_fixpoint, _start_state
 from conftest import K13_PAIRS
 
 
@@ -209,7 +209,7 @@ def petersen_incidence():
     return MatrixFamily([graph_incidence(10, outer + spokes + inner)])
 
 
-def test_tactical_lattice_petersen_pooled():
+def test_tactical_lattice_petersen_stats():
     family = petersen_incidence()
     seq = tactical_lattice(family)
     par = tactical_lattice(family, workers=2)  # the same in-process search
@@ -222,7 +222,7 @@ def test_tactical_lattice_petersen_pooled():
     assert (stats.visited_partitions, stats.queue_peak) == (2765, 82)
 
 
-def test_tactical_lattice_petersen_pooled_json_is_reproducible():
+def test_tactical_lattice_petersen_json_is_reproducible():
     # workers=2 runs the inline search, so its JSON is reproducible
     family = petersen_incidence()
     first = tactical_lattice(family, workers=2).to_json_dict()
@@ -235,6 +235,36 @@ def test_tactical_lattice_petersen_refinement_passes(split_passes):
     # so no lower cover is refined twice
     tactical_lattice(petersen_incidence())
     assert len(split_passes) == 3233
+
+
+def two_power_table(engine):
+    """The rows of F = W + K·W² with K = 2·max_i sum_j |W_ij| + 1, for the
+    packed weights W of the engine."""
+    rows, _, ones = engine
+    if ones:
+        rows = [[(j, 1) for j in row] for row in rows]
+    k = 2 * max(sum(abs(w) for _, w in row) for row in rows) + 1
+    table = []
+    for row in rows:
+        weights = dict(row)
+        for j, w in row:
+            for t, x in rows[j]:
+                weights[t] = weights.get(t, 0) + k * w * x
+        table.append(tuple(sorted((j, x) for j, x in weights.items() if x)))
+    return tuple(table)
+
+
+def test_tactical_filter_table_leaves_out_w_cubed():
+    # W³ maps each side of the block family to the other, so no class of a
+    # coloring below {rows | columns} reads it: the tactical search filters
+    # on W + K·W² alone, and refines the splits it did without W³
+    rng = random.Random(29)
+    families = [petersen_incidence(), fano_from_file()]
+    families += [rand_rect_family(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(30)]
+    for family in families:
+        engine = family.block_engine()
+        sides = [1] * family.rows + [2] * family.cols
+        assert _filter_table(engine, sides) == two_power_table(engine)
 
 
 def block_matrix(m):

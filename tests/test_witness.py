@@ -222,14 +222,25 @@ def test_cycle_19_refines_few_splits():
     lat = invariant_lattice(MatrixFamily([cycle_graph(19)]))
     stats = lat.stats
     assert len(lat) == 21
-    assert stats.splits_examined == 486
+    assert stats.splits_examined == 178
     # the unpruned search refines every one-class split of every element
     assert stats.splits_examined + stats.splits_pruned == 262314
     assert stats.cir_calls == stats.splits_examined + 1
-    pooled = invariant_lattice(MatrixFamily([cycle_graph(19)]), workers=2)
-    assert (pooled.elements, pooled.cover_edges) == (lat.elements, lat.cover_edges)
-    assert pooled.stats.splits_examined == stats.splits_examined
-    assert pooled.stats.splits_pruned == stats.splits_pruned
+    two = invariant_lattice(MatrixFamily([cycle_graph(19)]), workers=2)
+    assert (two.elements, two.cover_edges) == (lat.elements, lat.cover_edges)
+    assert two.stats.splits_examined == stats.splits_examined
+    assert two.stats.splits_pruned == stats.splits_pruned
+
+
+def test_cycle_28_lattice_and_its_refined_splits():
+    # past the brute-force range: the count is the divisor formula, one
+    # element per divisor d of 28 (d + 1 of them for d > 2), and the
+    # covers are those of the quadratic Hasse pass; W³ in the filter leaves
+    # 3,836 of the splits that W + K·W² passes (14,661) to refine
+    lat = invariant_lattice(MatrixFamily([cycle_graph(28)]))
+    assert len(lat) == sum(1 if d <= 2 else d + 1 for d in (1, 2, 4, 7, 14, 28)) == 59
+    assert lat.cover_edges == tuple(hasse_edges(lat.elements))
+    assert lat.stats.splits_examined == 3836
 
 
 def test_uniform_classes_prune_nothing():
@@ -284,7 +295,8 @@ def test_each_fixpoint_is_kept_from_one_split():
         lat = search(family)
         tactical = search is tactical_lattice
         engine = family.block_engine() if tactical else family.engine()
-        table = _filter_table(engine)
+        # the table of the search, from the one-class or {rows | columns} start
+        table = _filter_table(engine, [1] * family.rows + [2] * family.cols if tactical else None)
         back = _transposed(table)
         for element in lat.elements:
             # with nothing known, no split is answered by lookup
@@ -375,7 +387,8 @@ def test_rejected_splits_are_ones_the_guard_drops():
     for family, search in cases:
         tactical = search is tactical_lattice
         engine = family.block_engine() if tactical else family.engine()
-        table = _filter_table(engine)
+        # the table of the search, from the one-class or {rows | columns} start
+        table = _filter_table(engine, [1] * family.rows + [2] * family.cols if tactical else None)
         back = _transposed(table)
         for element in search(family).elements:
             start = element.joined() if tactical else element.coloring
