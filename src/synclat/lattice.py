@@ -2,14 +2,14 @@
 decompositions) of a matrix family, by split and cir.
 
 One search serves both.  It starts from the refinement fixpoint (cir) of a
-start coloring and walks down level by level: for every element of a level
+start coloring and keeps one queue of elements: for every element it pops,
 it splits one class in two in each way that can witness a lower cover (see
-below) and runs cir on each split, and the new fixpoints form the next
-level.  Every fixpoint is invariant, and a seen-set of elements ensures each
-is expanded at most once.  Every invariant element below an expanded one is
-reachable through some cover, so the search finds exactly the invariant
-partitions below cir(start): with the one-class start, all of them; with
-the cell types of a network, its balanced partitions.
+below) and runs cir on each split, and the new fixpoints join the end of
+the queue.  Every fixpoint is invariant, and a seen-set of elements ensures
+each is expanded at most once.  Every invariant element below an expanded
+one is reachable through some cover, so the search finds exactly the
+invariant partitions below cir(start): with the one-class start, all of
+them; with the cell types of a network, its balanced partitions.
 
 A tactical decomposition (A, B) of a rectangular family is one coloring of
 the rows followed by the columns: it is tactical exactly when that joined
@@ -21,9 +21,8 @@ from that start (:func:`synclat.refine._prepare` maps a pair onto it).
 Canonical joined colorings number the row classes first, so their order is
 the order of (row, column) pairs.
 
-The search runs in one process and walks the lattice level by level, each
-level in order of discovery, which is the order a FIFO queue pops elements
-in.
+The search runs in one process and pops the elements from its FIFO queue
+in order of discovery.
 
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice, so covers are not inherited from the ambient lattice.
@@ -42,21 +41,20 @@ give one:
   into V, so every i in S gets the same in-weight sum_{j in S} F_ij from S.
   The search takes F = W + K·W² + K²·W³ (see
   :func:`synclat.refine._filter_table`), where W is the engine's packed
-  family (:func:`synclat.refine._pack`), W² and W³ its exact integer powers
-  and K = 2·max_i sum_j |(W^p)_ij| + 1 over p = 1, 2.  An in-weight under W
-  or W² is below K/2 in absolute value, so an in-weight under F encodes the
-  in-weights under W, W² and W³ exactly, and S passes when all three are
-  uniform on S.  Every X lies inside one class of the start, so the check
-  on S reads no entry of W³ whose ends the start keeps apart.  When the
-  start keeps apart the ends of every nonzero entry of W³, F is W + K·W²,
-  with K over p = 1 alone: so it is on the tactical search, whose W³ maps
-  rows to columns.  Any F that maps V into V gives a sound filter; the
-  exact digits only make this one stronger.  L splits no class Y of E
-  before X, so each such Y is a class of L too, and F maps the indicator of
-  S to a vector constant on Y: every member of Y gets the same F-weight
-  sum_{j in S} F_yj from S.  A second stage checks that on every earlier
-  class with two or more members, adding the weights over F's columns
-  (:func:`_transposed`).  Only splits that pass both stages are refined.
+  family and W² and W³ its exact integer powers.  An in-weight under F has
+  the in-weights under W, W² and W³ as its exact digits in base K (see
+  :func:`synclat.refine._digits`), and S passes when all three are uniform
+  on S.  Every X lies inside one class of the start, so the check on S
+  reads no entry of W³ whose ends the start keeps apart.  When the start
+  keeps apart the ends of every nonzero entry of W³, F is W + K·W²: so it
+  is on the tactical search, whose W³ maps rows to columns.  Any F that
+  maps V into V gives a sound filter; the exact digits only make this one
+  stronger.  L splits no class Y of E before X, so each such Y is a class
+  of L too, and F maps the indicator of S to a vector constant on Y: every
+  member of Y gets the same F-weight sum_{j in S} F_yj from S.  A second
+  stage checks that on every earlier class with two or more members, adding
+  the weights over F's columns (:func:`synclat.refine._columns`).  Only
+  splits that pass both stages are refined.
 * Guard.  Every step P of the refinement chain from Q satisfies
   L <= P <= Q, so S and every class of E before X stay whole in every step.
   A chain whose step splits S or a class of E before X is abandoned and its
@@ -100,7 +98,7 @@ again.
 from __future__ import annotations
 
 from bisect import bisect
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import groupby
@@ -110,6 +108,7 @@ from .partition import Partition, PartitionPair, _class_splits, _refines
 from .refine import (
     Element,
     MatrixFamily,
+    _columns,
     _filter_table,
     _prepare,
     _square_fixpoint,
@@ -141,9 +140,9 @@ class LatticeStats:
     lattice).  It is exact up to 2·10^6 partitions, after which
     ``visited_exact`` drops to False.
 
-    ``queue_peak`` is the longest a FIFO element queue would grow: the
-    elements of the current level not yet read plus those found for the
-    next.
+    ``queue_peak`` is the longest the search's FIFO queue grows: the
+    elements found and not yet popped, after each popped element's new
+    fixpoints join it.
 
     ``splits_examined`` counts the one-class splits that were refined and
     ``splits_pruned`` those that either stage of the filter skipped: the
@@ -277,9 +276,9 @@ def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
     the sorted canonical colorings of the elements, the stats and the cover
     edges as sorted (coarser, finer) index pairs into the elements.
 
-    The walk goes level by level, one element at a time, so each task looks
-    up every element found before it and each element's lower covers are
-    the maxima of its kept fixpoints.
+    The elements are popped from one FIFO queue, one at a time, so each
+    task looks up every element found before it and each element's lower
+    covers are the maxima of its kept fixpoints.
     """
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
@@ -297,29 +296,26 @@ def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
     seen = {top: top}  # the one stored instance of each element
     covers = []  # (coarser, finer) pairs of instances stored in seen
     splits = pruned = 0
-    queue_peak = 1
     table = _filter_table(engine, start)
-    back = _transposed(table)
+    back = _columns(table, len(table))
     uniform: set = set()
-    level = [top]
-    while level:
-        fresh: list = []  # the next level, in order of discovery
-        for i, element in enumerate(level):
-            found, examined, skipped = _run_task(
-                engine, table, back, seen, uniform, element, on_step
-            )
-            splits += examined
-            pruned += skipped
-            for fixpoint in found:
-                if fixpoint not in seen:
-                    seen[fixpoint] = fixpoint
-                    fresh.append(fixpoint)
-                    if len(seen) > element_cap:
-                        raise ElementCapExceeded(len(seen), element_cap)
-            # a FIFO queue would hold the rest of this level and fresh
-            queue_peak = max(queue_peak, len(level) - 1 - i + len(fresh))
-            covers.extend((element, seen[cover]) for cover in _maxima(found))
-        level = fresh
+    queue = deque([top])
+    queue_peak = 1
+    while queue:
+        element = queue.popleft()
+        found, examined, skipped = _run_task(
+            engine, table, back, seen, uniform, element, on_step
+        )
+        splits += examined
+        pruned += skipped
+        for fixpoint in found:
+            if fixpoint not in seen:
+                seen[fixpoint] = fixpoint
+                queue.append(fixpoint)
+                if len(seen) > element_cap:
+                    raise ElementCapExceeded(len(seen), element_cap)
+        queue_peak = max(queue_peak, len(queue))
+        covers.extend((element, seen[cover]) for cover in _maxima(found))
     stats = LatticeStats(
         cir_calls=1 + splits,
         splits_examined=splits,
@@ -345,16 +341,6 @@ def _maxima(candidates: Iterable[tuple]) -> list:
         coarser = tuple(maxima)
         maxima += [c for c in group if not any(_refines(c, m) for m in coarser)]
     return maxima
-
-
-def _transposed(table: tuple) -> list:
-    """The columns of F from its rows ``table``: item j holds the
-    ``(i, F_ij)`` with F_ij != 0, in order of i."""
-    back: list = [[] for _ in table]
-    for i, row in enumerate(table):
-        for j, f in row:
-            back[j].append((i, f))
-    return back
 
 
 def _run_task(
@@ -421,9 +407,7 @@ def _run_task(
     return found, examined, skipped
 
 
-def _witnesses(
-    table: tuple, col: list, members: list, uniform: Optional[set] = None
-) -> Iterator[tuple]:
+def _witnesses(table: tuple, col: list, members: list, uniform: set) -> Iterator[tuple]:
     """The splits ``(S, X minus S)`` of the class X = ``members`` (sorted,
     working coloring ``col``) that pass the filter of the module
     docstring: x0 = ``members[0]`` in S, S != X, and every i in S getting
@@ -437,8 +421,6 @@ def _witnesses(
     from x0 along in-weights, each member taken before it is left out, as
     one loop over an explicit stack.
     """
-    if uniform is None:
-        uniform = set()
     key = tuple(members)
     if key in uniform:
         yield from _class_splits(members)

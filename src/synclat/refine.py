@@ -29,7 +29,7 @@ each family is prepared once into one integer engine.  Every matrix is
 scaled by the lcm of its denominators (M and cM have the same invariant
 partitions and tactical decompositions for c != 0), and the scaled matrices
 are packed into one integer weight per nonzero entry, so a row's signature
-against a coloring is a single exact integer key (see :func:`_pack`).
+against a coloring is a single exact integer key (see :func:`_digits`).
 Families whose packed weights are all 1 (plain adjacency matrices) key short
 rows without a loop.
 Classes are refined bucket-by-bucket, so elements already isolated in
@@ -121,13 +121,10 @@ class MatrixFamily:
         separate rows from columns are the tactical decompositions."""
         if self._block is None:
             m, n = self.rows, self.cols
-            blocks = []
-            for rows in _scaled(self.matrices):
-                cols: list = [[] for _ in range(n)]
-                for i, row in enumerate(rows):
-                    for j, x in row:
-                        cols[j].append((i, x))
-                blocks.append([[(m + j, x) for j, x in row] for row in rows] + cols)
+            blocks = [
+                [[(m + j, x) for j, x in row] for row in rows] + _columns(rows, n)
+                for rows in _scaled(self.matrices)
+            ]
             self._block = _pack(blocks, m + n)
         return self._block
 
@@ -146,31 +143,37 @@ def _scaled(matrices: Sequence[RationalMatrix]) -> list:
     return out
 
 
-def _pack(matrices: list, n: int) -> tuple:
-    """Pack integer matrices with ``n`` columns, given as sparse rows, into
-    the engine ``(rows, pw, ones)``.
+def _base(matrices: list) -> int:
+    """2R + 1 for the largest absolute row sum R of any of the integer
+    matrices, given as sparse rows: every in-weight that a row of one of
+    them gives is below half of it in absolute value."""
+    return 2 * max(sum(abs(x) for _, x in row) for m in matrices for row in m) + 1
 
-    With R the largest absolute row sum of any matrix and B = 2R + 1, entry
-    (i, j) of the family becomes the weight W_ij = sum_l M_l[i][j] * B**(l*n),
-    and ``rows[i]`` lists the ``(j, W_ij)`` with W_ij != 0.  ``pw[c]`` is
-    B**(c-1) for the colors c = 1..n, and ``pw[0]`` is a dummy 0.
 
-    The key of row i against a column coloring ``ncol`` (colors 1..n) is
-    sum_j W_ij * pw[ncol[j]].  Its base-B digit at position l*n + c - 1 is
-    the exact in-weight s(l, c) that row i of M_l gives to color c, and
-    |s(l, c)| <= R < B/2.  Two such digit vectors that differ have a lowest
-    differing position k, where the difference of the keys is B**k times a
-    nonzero number below B in absolute value plus a multiple of B**(k+1),
-    hence nonzero.  So two rows have equal keys exactly when they give the
-    same weight to every color under every matrix: the key is an exact
-    encoding of the signature, not a hash.
+def _digits(matrices: list, shift: int) -> list:
+    """The sparse rows of sum_l shift**l * M_l for the integer matrices
+    M_0, M_1, ..., given as sparse rows: row i lists the ``(j, x)`` with
+    x != 0, in order of j.
 
-    When every packed weight is 1, ``ones`` is true and ``rows[i]`` holds the
-    column indices alone; the key is then the plain sum of ``pw[ncol[j]]``.
+    Why the packed integers are exact: a sum sum_k b**k * d_k of integers
+    with |d_k| < b/2 for every k but the highest determines each d_k.  Two
+    digit vectors that differ have a lowest differing position k, where the
+    sums differ by b**k times a nonzero number below b in absolute value
+    plus a multiple of b**(k+1), which is not 0.
+
+    * :func:`_pack` takes shift B**n for B = :func:`_base` of the family,
+      and the key of row i against a coloring with colors 1..n adds
+      W_ij * B**(c-1) for the color c of each column j.  Its base-B digit at
+      position l*n + c - 1 is the in-weight that row i of M_l gives to
+      color c, below B/2 in absolute value.  So two rows have equal keys
+      exactly when they give the same weight to every color under every
+      matrix: the key is an exact encoding of the signature, not a hash.
+    * :func:`_filter_table` takes the powers W, W², ... of the packed
+      weights and shift K = :func:`_base` of every power but the highest.
+      An F-weight sum_{j in S} F_ij has the in-weights under each power as
+      its base-K digits, so equal F-weights mean equal in-weights under
+      every power.
     """
-    bound = max(sum(abs(x) for _, x in row) for m in matrices for row in m)
-    base = 2 * bound + 1
-    shift = base**n
     rows = []
     for i in range(len(matrices[0])):
         packed: dict = {}
@@ -179,61 +182,72 @@ def _pack(matrices: list, n: int) -> tuple:
             for j, x in m[i]:
                 packed[j] = packed.get(j, 0) + x * scale
             scale *= shift
-        rows.append(tuple(sorted(packed.items())))
+        rows.append(tuple(sorted((j, x) for j, x in packed.items() if x)))
+    return rows
+
+
+def _columns(rows: Sequence, n: int) -> list:
+    """The columns of a matrix with ``n`` columns from its sparse rows:
+    item j lists the ``(i, x)`` with x = M_ij != 0, in order of i."""
+    cols: list = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            cols[j].append((i, x))
+    return cols
+
+
+def _pack(matrices: list, n: int) -> tuple:
+    """Pack integer matrices with ``n`` columns, given as sparse rows, into
+    the engine ``(rows, pw, ones)``.
+
+    ``rows[i]`` lists the ``(j, W_ij)`` with W_ij != 0 for the packed
+    weights W = sum_l B**(l*n) * M_l, with B = :func:`_base` of the
+    matrices.  ``pw[c]`` is B**(c-1) for the colors c = 1..n, and ``pw[0]``
+    is a dummy 0.  The key of row i against a column coloring ``ncol`` is
+    sum_j W_ij * pw[ncol[j]], an exact encoding of the weight it gives to
+    each color under each matrix (see :func:`_digits`).
+
+    When every packed weight is 1, ``ones`` is true and ``rows[i]`` holds the
+    column indices alone; the key is then the plain sum of ``pw[ncol[j]]``.
+    """
+    base = _base(matrices)
+    rows = _digits(matrices, base**n)
     ones = all(w == 1 for row in rows for _, w in row)
     if ones:
         rows = [tuple(j for j, _ in row) for row in rows]
     return (tuple(rows), (0,) + tuple(base**c for c in range(n)), ones)
 
 
-def _filter_table(engine: tuple, start: Optional[Sequence[int]] = None) -> tuple:
+def _filter_table(engine: tuple, start: Sequence[int]) -> tuple:
     """The rows of F = W + K·W² + K²·W³ for the packed weights W of the
     engine, each row the ``(j, F_ij)`` with F_ij != 0 in order of j;
     :mod:`synclat.lattice` filters splits with it.
 
     W³ is taken only if it has an entry (i, j) != 0 with
-    ``start[i] == start[j]`` (any entry, for no ``start``): each class that
-    the search splits lies inside one class of its start coloring, and the
-    witness check reads no other entry.  On the block engine from
-    {rows | columns}, W³ maps each side to the other, so F stays W + K·W².
-
-    K is 2·max_i sum_j |(W^p)_ij| + 1 over the powers p below the highest
-    one taken.  Every in-weight under such a W^p is below K/2 in absolute
-    value, so an in-weight under F is the in-weights under each power, as
-    the digits of one integer in balanced base K (the highest power takes
-    the rest): equal F-weights mean equal in-weights under every power.
+    ``start[i] == start[j]``: each class that the search splits lies inside
+    one class of its start coloring, and the witness check reads no other
+    entry.  On the block engine from {rows | columns}, W³ maps each side to
+    the other, so F stays W + K·W².  K is the :func:`_base` of the powers
+    below the highest one taken, so that F's integers are exact (see
+    :func:`_digits`).
     """
     rows, _, ones = engine
     if ones:
         rows = [[(j, 1) for j in row] for row in rows]
-    powers = [[dict(row) for row in rows]]
+    powers = [rows]
     for _ in range(2):  # W², then W³ = W·W²
         last = powers[-1]
         power = []
         for row in rows:
             weights: dict = {}
             for j, w in row:
-                for t, x in last[j].items():
+                for t, x in last[j]:
                     weights[t] = weights.get(t, 0) + w * x
-            power.append({t: x for t, x in weights.items() if x})
+            power.append([(t, x) for t, x in weights.items() if x])
         powers.append(power)
-    if not any(
-        start is None or start[i] == start[j]
-        for i, row in enumerate(powers[2])
-        for j in row
-    ):
+    if not any(start[i] == start[j] for i, row in enumerate(powers[2]) for j, _ in row):
         powers.pop()
-    k = 2 * max(sum(map(abs, row.values())) for p in powers[:-1] for row in p) + 1
-    table = []
-    for i in range(len(rows)):
-        weights = {}
-        scale = 1
-        for power in powers:
-            for j, x in power[i].items():
-                weights[j] = weights.get(j, 0) + scale * x
-            scale *= k
-        table.append(tuple(sorted((j, x) for j, x in weights.items() if x)))
-    return tuple(table)
+    return tuple(_digits(powers, _base(powers[:-1])))
 
 
 def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:

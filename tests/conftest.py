@@ -21,6 +21,13 @@ def bar(text, n):
     return Partition.from_bar(text, n)
 
 
+def rand_partition(rng, n):
+    labels = [1]
+    for _ in range(n - 1):
+        labels.append(rng.randint(1, max(labels) + 1))
+    return Partition(labels)
+
+
 @pytest.fixture
 def split_passes(monkeypatch):
     """A list that gets one item for every refinement pass of

@@ -46,7 +46,7 @@ from synclat import (
     subgroup_coset_partitions,
     tactical_lattice,
 )
-from conftest import FIG1_BARS, K13_PAIRS, bar
+from conftest import FIG1_BARS, K13_PAIRS, bar, rand_partition
 
 WORKERS = min(2, os.cpu_count() or 1)
 CYCLE_BUDGET = 300.0  # seconds per cycle size
@@ -70,13 +70,6 @@ class _Reporter:
 @pytest.fixture
 def reporter(capsys):
     return _Reporter(capsys)
-
-
-def rand_partition(rng, n):
-    labels = [1]
-    for _ in range(n - 1):
-        labels.append(rng.randint(1, max(labels) + 1))
-    return Partition(labels)
 
 
 def test_criterion_01_block_matrix_lattice(fig1_family, reporter):

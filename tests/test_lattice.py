@@ -21,12 +21,13 @@ from synclat import (
     hasse_edges,
     invariant_lattice,
     is_invariant,
+    path_graph,
     tactical_lattice,
     zeros,
 )
-from synclat.lattice import _filter_table, _run_task, _transposed, _witnesses
+from synclat.lattice import _run_task, _witnesses
 from synclat.partition import canonical_coloring
-from synclat.refine import _prepare, _start_state
+from synclat.refine import _columns, _filter_table, _prepare, _start_state
 from conftest import FIG1_BARS, bar
 from test_tactical import rand_rect_family
 from test_witness import earlier_weights, planted_family, symmetric_circulant_family
@@ -200,6 +201,16 @@ def test_visited_cap_saturates_the_count(monkeypatch):
     assert capped.cover_edges == full.cover_edges
 
 
+@pytest.mark.parametrize("n", [255, 256])
+def test_visited_keys_on_both_sides_of_the_byte_bound(n):
+    # the visited set keys colorings of fewer than 256 elements as bytes and
+    # longer ones as tuples; bytes() of P_256's discrete coloring, whose
+    # largest color is 256, would raise
+    lat = equitable_partitions(path_graph(n))
+    assert len(lat) == 2 and lat.cover_edges == ((0, 1),)
+    assert (lat.stats.visited_partitions, lat.stats.visited_exact) == (n, True)
+
+
 def test_stats_split_bound(fig1_family):
     # the queue only ever examines the ambient lower covers of elements
     lat = invariant_lattice(fig1_family)
@@ -312,7 +323,7 @@ def split_starts(element, table):
     for color, members in enumerate(classes):
         if len(members) < 2:
             continue
-        for inside, outside in _witnesses(table, col, members):
+        for inside, outside in _witnesses(table, col, members, set()):
             if any(len(w) > 1 for w in earlier_weights(table, classes, color, inside)):
                 continue
             labels = list(col)
@@ -335,8 +346,8 @@ def split_starts(element, table):
 )
 def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_known):
     engine = MatrixFamily([graph]).engine()
-    table = _filter_table(engine)
-    back = _transposed(table)
+    table = _filter_table(engine, [1] * graph.rows)
+    back = _columns(table, len(table))
     element = Partition.from_bar(top, graph.rows).coloring
     plain = []
     want = _run_task(engine, table, back, set(), set(), element, plain.append)
@@ -394,8 +405,8 @@ def test_every_coloring_the_refinement_hands_out_is_canonical():
                 for part in parts:
                     assert part.coloring == canonical_coloring(part.coloring)
         engine, _, _ = _prepare(fam, lattice.elements[0])
-        table = _filter_table(engine)
-        back = _transposed(table)
+        table = _filter_table(engine, [1] * len(engine[0]))
+        back = _columns(table, len(table))
         for element in lattice.elements:
             _, coloring, _ = _prepare(fam, element)
             reports = []

@@ -13,13 +13,7 @@ from synclat import (
     column_space_contains,
     zeros,
 )
-
-
-def rand_partition(rng, n):
-    labels = [1]
-    for _ in range(n - 1):
-        labels.append(rng.randint(1, max(labels) + 1))
-    return Partition(labels)
+from conftest import rand_partition
 
 
 def brute_meet(a, b):

@@ -17,7 +17,7 @@ from synclat import (
     transpose,
     zeros,
 )
-from conftest import K13_INCIDENCE, M3_OTHER
+from conftest import K13_INCIDENCE, M3_OTHER, rand_partition
 
 
 def rand_matrix(rng, m, n, density=0.6, rational=False):
@@ -30,13 +30,6 @@ def rand_matrix(rng, m, n, density=0.6, rational=False):
         return num
 
     return RationalMatrix([[entry() for _ in range(n)] for _ in range(m)])
-
-
-def rand_partition(rng, n):
-    labels = [1]
-    for _ in range(n - 1):
-        labels.append(rng.randint(1, max(labels) + 1))
-    return Partition(labels)
 
 
 def test_construction_validates():

@@ -23,15 +23,8 @@ from synclat import (
 )
 from synclat.oracle import all_partitions
 from synclat.refine import _filter_table, _split_pass, _square_fixpoint, _start_state
-from conftest import M3_DIAG, M3_OTHER
+from conftest import M3_DIAG, M3_OTHER, rand_partition
 from test_tactical import rand_rect_family
-
-
-def rand_partition(rng, n):
-    labels = [1]
-    for _ in range(n - 1):
-        labels.append(rng.randint(1, max(labels) + 1))
-    return Partition(labels)
 
 
 def rand_family(rng, n, rational=False):
@@ -343,14 +336,14 @@ def test_filter_table_encodes_each_power_exactly():
     # in-weights of i from S under W, W² and, where the start keeps the
     # ends of a nonzero entry of W³ in one class, W³
     rng = random.Random(25)
-    cases = [(MatrixFamily([cycle_graph(n)]).engine(), None) for n in (3, 8)]
+    cases = [(MatrixFamily([cycle_graph(n)]).engine(), [1] * n) for n in (3, 8)]
     for _ in range(40):
         n = rng.randint(2, 7)
         engine = rand_family(rng, n, rational=True).engine()
-        cases += [(engine, None), (engine, rand_partition(rng, n).coloring)]
+        cases += [(engine, [1] * n), (engine, rand_partition(rng, n).coloring)]
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         block = rand_rect_family(rng, m, n).block_engine()
-        cases += [(block, None), (block, [1] * m + [2] * n)]
+        cases += [(block, [1] * (m + n)), (block, [1] * m + [2] * n)]
     taken = set()
     for engine, start in cases:
         n = len(engine[0])
@@ -359,9 +352,8 @@ def test_filter_table_encodes_each_power_exactly():
         for _ in range(3):
             columns = [times_packed(engine, c) for c in columns]
             power_columns.append(columns)
-        together = start or [1] * n
         cube = any(
-            power_columns[2][j][i] and together[i] == together[j]
+            power_columns[2][j][i] and start[i] == start[j]
             for i in range(n) for j in range(n)
         )
         powers = 3 if cube else 2

@@ -33,14 +33,7 @@ from synclat import (
 )
 from synclat.lattice import _invariant_below
 from synclat.refine import _filter_table, _square_fixpoint, _start_state
-from conftest import K13_PAIRS
-
-
-def rand_partition(rng, n):
-    labels = [1]
-    for _ in range(n - 1):
-        labels.append(rng.randint(1, max(labels) + 1))
-    return Partition(labels)
+from conftest import K13_PAIRS, rand_partition
 
 
 def rand_rect_family(rng, m, n):

@@ -34,16 +34,10 @@ from synclat import (
     tactical_cir,
     tactical_lattice,
 )
-from synclat.lattice import (
-    _filter_table,
-    _invariant_below,
-    _run_task,
-    _transposed,
-    _witnesses,
-)
+from synclat.lattice import _invariant_below, _run_task, _witnesses
 from synclat.networks import network_from_adjacencies
 from synclat.partition import canonical_coloring, iter_cover_colorings
-from synclat.refine import _pack, _square_fixpoint, _start_state
+from synclat.refine import _columns, _filter_table, _pack, _square_fixpoint, _start_state
 from test_tactical import petersen_incidence, rand_rect_family
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -296,8 +290,10 @@ def test_each_fixpoint_is_kept_from_one_split():
         tactical = search is tactical_lattice
         engine = family.block_engine() if tactical else family.engine()
         # the table of the search, from the one-class or {rows | columns} start
-        table = _filter_table(engine, [1] * family.rows + [2] * family.cols if tactical else None)
-        back = _transposed(table)
+        table = _filter_table(
+            engine, [1] * family.rows + [2] * family.cols if tactical else [1] * family.cols
+        )
+        back = _columns(table, len(table))
         for element in lat.elements:
             # with nothing known, no split is answered by lookup
             start = element.joined() if tactical else element.coloring
@@ -319,14 +315,14 @@ def test_filter_passes_the_witness_of_every_brute_force_cover():
             symmetric_circulant_family(rng, rng.randint(4, 7)),
         ):
             elements = sorted(brute_invariant_set(family), key=lambda p: p.coloring)
-            table = _filter_table(family.engine())
+            table = _filter_table(family.engine(), [1] * family.cols)
             for coarse, fine in hasse_edges(elements):
                 col, classes = _start_state(elements[coarse].coloring)
                 below = elements[fine].coloring
                 for members in classes:
                     witness = [i for i in members if below[i] == below[members[0]]]
                     if len(witness) < len(members):
-                        splits = _witnesses(table, col, members)
+                        splits = _witnesses(table, col, members, set())
                         assert (witness, sorted(set(members) - set(witness))) in splits
                         checked += 1
     assert checked > 100
@@ -355,7 +351,7 @@ def test_earlier_classes_get_uniform_weight_from_every_cover_witness():
             symmetric_circulant_family(rng, rng.randint(4, 7)),
         ):
             elements = sorted(brute_invariant_set(family), key=lambda p: p.coloring)
-            table = _filter_table(family.engine())
+            table = _filter_table(family.engine(), [1] * family.cols)
             for coarse, fine in hasse_edges(elements):
                 _, classes = _start_state(elements[coarse].coloring)
                 below = elements[fine].coloring
@@ -388,14 +384,16 @@ def test_rejected_splits_are_ones_the_guard_drops():
         tactical = search is tactical_lattice
         engine = family.block_engine() if tactical else family.engine()
         # the table of the search, from the one-class or {rows | columns} start
-        table = _filter_table(engine, [1] * family.rows + [2] * family.cols if tactical else None)
-        back = _transposed(table)
+        table = _filter_table(
+            engine, [1] * family.rows + [2] * family.cols if tactical else [1] * family.cols
+        )
+        back = _columns(table, len(table))
         for element in search(family).elements:
             start = element.joined() if tactical else element.coloring
             col, classes = _start_state(start)
             passed = 0
             for color, members in enumerate(classes):
-                for inside, outside in _witnesses(table, col, members):
+                for inside, outside in _witnesses(table, col, members, set()):
                     weights = earlier_weights(table, classes, color, inside)
                     if all(len(w) == 1 for w in weights):
                         passed += 1
@@ -421,9 +419,9 @@ def test_large_classes_are_searched_without_recursion():
     assert cycle_engine(12) == MatrixFamily([cycle_graph(12)]).engine()
     # a search with one frame per member would run out of stack here
     for n in (1100, 3000):
-        table = _filter_table(cycle_engine(n))
+        table = _filter_table(cycle_engine(n), [1] * n)
         members = list(range(n))
-        splits = list(islice(_witnesses(table, [0] * n, members), 5))
+        splits = list(islice(_witnesses(table, [0] * n, members, set()), 5))
         assert len(splits) == 5
         for inside, outside in splits:
             assert inside[0] == 0 and outside
@@ -478,14 +476,14 @@ def test_witnesses_come_in_breadth_first_take_before_leave_order():
             planted_family(rng, rng.randint(3, 12)),
             symmetric_circulant_family(rng, rng.randint(4, 12)),
         ):
-            table = _filter_table(family.engine())
+            table = _filter_table(family.engine(), [1] * family.cols)
             for element in invariant_lattice(family).elements:
                 col, classes = _start_state(element.coloring)
                 for members in classes:
                     if not 3 <= len(members) <= 12 or uniform(table, members):
                         continue
                     expected = witnesses_by_product(table, members)
-                    assert list(_witnesses(table, col, members)) == expected
+                    assert list(_witnesses(table, col, members, set())) == expected
                     checked += 1
                     several += len(expected) > 1
     assert checked > 50 and several > 20
