@@ -72,8 +72,8 @@ def emit_dot(lattice: InvariantLattice) -> str:
     """Render the lattice as a DOT digraph, one node per element labeled in
     bar notation, edges from coarser to finer cover."""
     lines = ["digraph lattice {", "  node [shape=box];"]
-    for idx, element in enumerate(lattice.elements):
-        lines.append(f'  n{idx} [label="{element.bar()}"];')
+    for idx, bar in enumerate(lattice.bars()):
+        lines.append(f'  n{idx} [label="{bar}"];')
     for coarser, finer in lattice.cover_edges:
         lines.append(f"  n{coarser} -> n{finer};")
     lines.append("}")
@@ -82,8 +82,8 @@ def emit_dot(lattice: InvariantLattice) -> str:
 
 def _emit_lattice(lattice: InvariantLattice, fmt: str) -> None:
     if fmt == "text":
-        for element in lattice.elements:
-            print(element.bar())
+        for bar in lattice.bars():
+            print(bar)
     elif fmt == "json":
         print(json.dumps(lattice.to_json_dict(), indent=2))
     else:

@@ -21,8 +21,10 @@ from that start (:func:`synclat.refine._prepare` maps a pair onto it).
 Canonical joined colorings number the row classes first, so their order is
 the order of (row, column) pairs.
 
-The search runs in one process and pops the elements from its FIFO queue
-in order of discovery.
+The search runs in one process and expands the elements in order of
+discovery: its FIFO queue is the part of the discovery list after the
+element being expanded.  Covers are kept as pairs of discovery indices and
+mapped to sorted order once, at the end.
 
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice, so covers are not inherited from the ambient lattice.
@@ -63,7 +65,9 @@ give one:
 Nothing is lost.  Every lower cover of E is still found, from its own X and
 S, and every kept result is strictly below E and so below some lower cover;
 the lower covers of E are therefore exactly the maximal elements among its
-kept results.  A kept result splits X and no class before it, and S is its
+kept results.  A strictly finer partition has more classes, so when all
+kept results have one class count (as for every element of K_n) they are
+all maximal.  A kept result splits X and no class before it, and S is its
 class of x0, so it is kept from one split only and no two chains of E end
 in the same result (a canonical construction path, after McKay 1998).
 The argument of the second stage holds for any kept result in place of L,
@@ -92,19 +96,21 @@ tactical search lies on one side and gets no weight from it under W, but
 under W² = diag(M M^T, M^T M) it does.  Uniformity reads only the weights
 inside X, so it depends only on X's members: each search keeps the member
 tuples of the classes it found uniform and does not read their weights
-again.
+again.  It stores a uniform class's list of splits from the second visit
+on, so a large class seen once is never held as a list.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Callable, Container, Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Container, Iterator, Optional
 
-from .partition import Partition, PartitionPair, _class_splits, _refines
+from .partition import Partition, PartitionPair, _bars, _class_splits, _refines
 from .refine import (
     Element,
     MatrixFamily,
@@ -203,7 +209,12 @@ class InvariantLattice:
         return bool(self.elements) and isinstance(self.elements[0], PartitionPair)
 
     def bars(self) -> list:
-        return [e.bar() for e in self.elements]
+        """The bar notation of every element, in order."""
+        if not self.is_tactical:
+            return _bars([e.coloring for e in self.elements])
+        rows = _bars([e.row_part.coloring for e in self.elements])
+        cols = _bars([e.col_part.coloring for e in self.elements])
+        return [f"({r}, {c})" for r, c in zip(rows, cols)]
 
     def index_of(self, element: Element) -> int:
         try:
@@ -276,7 +287,7 @@ def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
     the sorted canonical colorings of the elements, the stats and the cover
     edges as sorted (coarser, finer) index pairs into the elements.
 
-    The elements are popped from one FIFO queue, one at a time, so each
+    The elements are expanded one at a time in order of discovery, so each
     task looks up every element found before it and each element's lower
     covers are the maxima of its kept fixpoints.
     """
@@ -293,16 +304,17 @@ def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
             visited.add(bytes(coloring) if compact else coloring)
 
     top = _square_fixpoint(engine, *_start_state(start), on_step)
-    seen = {top: top}  # the one stored instance of each element
-    covers = []  # (coarser, finer) pairs of instances stored in seen
+    # the elements in order of discovery; the queue is the part after the
+    # element being expanded, and seen maps each element to its index here
+    order = [top]
+    seen = {top: 0}
+    covers = []  # (coarser, finer) discovery indices
     splits = pruned = 0
     table = _filter_table(engine, start)
     back = _columns(table, len(table))
-    uniform: set = set()
-    queue = deque([top])
+    uniform: dict = {}
     queue_peak = 1
-    while queue:
-        element = queue.popleft()
+    for e, element in enumerate(order):
         found, examined, skipped = _run_task(
             engine, table, back, seen, uniform, element, on_step
         )
@@ -310,36 +322,45 @@ def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
         pruned += skipped
         for fixpoint in found:
             if fixpoint not in seen:
-                seen[fixpoint] = fixpoint
-                queue.append(fixpoint)
-                if len(seen) > element_cap:
-                    raise ElementCapExceeded(len(seen), element_cap)
-        queue_peak = max(queue_peak, len(queue))
-        covers.extend((element, seen[cover]) for cover in _maxima(found))
+                seen[fixpoint] = len(order)
+                order.append(fixpoint)
+                if len(order) > element_cap:
+                    raise ElementCapExceeded(len(order), element_cap)
+        queue_peak = max(queue_peak, len(order) - 1 - e)
+        covers += [(e, seen[cover]) for cover in _maxima(found)]
     stats = LatticeStats(
         cir_calls=1 + splits,
         splits_examined=splits,
         splits_pruned=pruned,
         queue_peak=queue_peak,
-        popped=len(seen),  # every element found is expanded once
+        popped=len(order),  # every element found is expanded once
         visited_partitions=len(visited),
         visited_exact=len(visited) <= _VISITED_CAP,
     )
-    elements = sorted(seen)
-    index = {element: i for i, element in enumerate(elements)}
-    edges = tuple(sorted((index[coarse], index[fine]) for coarse, fine in covers))
-    return elements, stats, edges
+    # rank[e]: the place of discovery index e in sorted order
+    ranked = sorted(range(len(order)), key=order.__getitem__)
+    rank = [0] * len(order)
+    for r, e in enumerate(ranked):
+        rank[e] = r
+    edges = tuple(sorted([(rank[coarse], rank[fine]) for coarse, fine in covers]))
+    return [order[e] for e in ranked], stats, edges
 
 
-def _maxima(candidates: Iterable[tuple]) -> list:
+def _maxima(candidates: list) -> list:
     """The canonical colorings among the candidates that refine no other
     candidate.  A strictly finer element has strictly more classes (a
-    canonical coloring's largest color), so each candidate is compared only
-    with the maxima that have fewer classes."""
+    canonical coloring's largest color), so candidates with the fewest
+    classes are maxima, and each other candidate is compared only with the
+    maxima that have fewer classes than it; when all have one count, all
+    are maxima unchecked."""
+    counts = list(map(max, candidates))
+    if not counts or min(counts) == max(counts):
+        return candidates
     maxima: list = []
-    for _, group in groupby(sorted(candidates, key=max), max):
-        coarser = tuple(maxima)
-        maxima += [c for c in group if not any(_refines(c, m) for m in coarser)]
+    ranked = sorted(zip(counts, candidates), key=itemgetter(0))
+    for _, group in groupby(ranked, itemgetter(0)):
+        coarser = maxima.copy()
+        maxima += [c for _, c in group if not any(_refines(c, m) for m in coarser)]
     return maxima
 
 
@@ -348,7 +369,7 @@ def _run_task(
     table: tuple,
     back: list,
     known: Container[tuple],
-    uniform: set,
+    uniform: dict,
     element: tuple,
     on_step: Optional[Callable[[tuple], None]] = None,
 ) -> tuple:
@@ -361,14 +382,17 @@ def _run_task(
 
     A split keeps the witness S, which holds X's smallest member, in the
     place of its class X and puts X minus S among the classes by smallest
-    member, so its start is canonical.  A start in ``known`` (elements
-    already found) is answered by lookup, with no pass.  Any other split
-    goes on only if every class before X with two or more members gets one
-    F-weight from S (a member with no entry gets 0); a split that fails
-    could only start a chain that the guard drops.
+    member, so its start is canonical: the classes after X minus S move one
+    color up, in a coloring built once per insertion point and copied for
+    each split.  A start in ``known`` (elements already found) is answered
+    by lookup, with no pass.  Any other split goes on only if every class
+    before X with two or more members gets one F-weight from S (a member
+    with no entry gets 0); a split that fails could only start a chain that
+    the guard drops.
     """
     col, classes = _start_state(element)
     smallest = [members[0] for members in classes]
+    bases: dict = {}  # at -> col with the colors above at moved one up
     found = []  # distinct: each kept result names its own split
     examined = 0
     for color, members in enumerate(classes):
@@ -377,10 +401,10 @@ def _run_task(
         guarded = [earlier for earlier in classes[:color] if len(earlier) > 1]
         for inside, outside in _witnesses(table, col, members, uniform):
             at = bisect(smallest, outside[0])
-            split_col = col.copy()
-            for later in classes[at:]:
-                for i in later:
-                    split_col[i] += 1
+            base = bases.get(at)
+            if base is None:
+                base = bases[at] = [c + (c > at) for c in col]
+            split_col = base.copy()
             for i in outside:
                 split_col[i] = at + 1
             start = tuple(split_col)
@@ -407,7 +431,9 @@ def _run_task(
     return found, examined, skipped
 
 
-def _witnesses(table: tuple, col: list, members: list, uniform: set) -> Iterator[tuple]:
+def _witnesses(
+    table: tuple, col: list, members: list, uniform: dict
+) -> Iterator[tuple]:
     """The splits ``(S, X minus S)`` of the class X = ``members`` (sorted,
     working coloring ``col``) that pass the filter of the module
     docstring: x0 = ``members[0]`` in S, S != X, and every i in S getting
@@ -416,14 +442,19 @@ def _witnesses(table: tuple, col: list, members: list, uniform: set) -> Iterator
     A class with uniform weights yields every split, in the order of
     :func:`synclat.partition._class_splits`.  Whether it is uniform depends
     only on the table entries inside X, so the member tuples of classes
-    found uniform go into the memo ``uniform`` and are not checked again.
+    found uniform go into the memo ``uniform`` and are not checked again;
+    the memo maps them to None on the first visit, which streams the
+    splits, and to their list from the second.
     Any other class is searched by lazy backtracking in breadth-first order
     from x0 along in-weights, each member taken before it is left out, as
     one loop over an explicit stack.
     """
     key = tuple(members)
     if key in uniform:
-        yield from _class_splits(members)
+        splits = uniform[key]
+        if splits is None:
+            splits = uniform[key] = list(_class_splits(members))
+        yield from splits
         return
     size = len(members)
     inner = {}  # i -> [(j, F_ij)] for j in X
@@ -435,7 +466,7 @@ def _witnesses(table: tuple, col: list, members: list, uniform: set) -> Iterator
     if len(diagonal) == 1 and (
         not off or (len(off) == size * (size - 1) and len(set(off)) == 1)
     ):
-        uniform.add(key)
+        uniform[key] = None  # its splits are stored on the next visit
         yield from _class_splits(members)
         return
     # breadth-first along in-weights, component by component

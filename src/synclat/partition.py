@@ -107,8 +107,7 @@ class Partition:
 
     def bar(self) -> str:
         """Canonical bar notation; comma-separated inside classes for n > 9."""
-        sep = "," if self.n > 9 else ""
-        return "|".join(sep.join(str(el) for el in cl) for cl in self.classes())
+        return _bars([self.coloring])[0]
 
     @property
     def n(self) -> int:
@@ -219,6 +218,27 @@ def _refines(fine: Sequence[int], coarse: Sequence[int]) -> bool:
     """True iff every class of ``fine`` lies inside a class of ``coarse``;
     both are canonical colorings of one ground set."""
     return len(set(zip(fine, coarse))) == max(fine)
+
+
+def _bars(colorings: Sequence[Sequence[int]]) -> list:
+    """The bar notation of canonical colorings of one ground set: classes
+    by smallest member, joined by '|', and members comma-separated past
+    n = 9.  The element names are built once for all the colorings."""
+    if not colorings:
+        return []
+    n = len(colorings[0])
+    names = [str(i) for i in range(1, n + 1)]
+    sep = "," if n > 9 else ""
+    out = []
+    for coloring in colorings:
+        classes: dict = {}  # by first occurrence, which is canonical order
+        for name, c in zip(names, coloring):
+            if c in classes:
+                classes[c].append(name)
+            else:
+                classes[c] = [name]
+        out.append("|".join(map(sep.join, classes.values())))
+    return out
 
 
 def _class_splits(members: Sequence) -> Iterator[tuple]:

@@ -25,7 +25,7 @@ from synclat import (
     tactical_lattice,
     zeros,
 )
-from synclat.lattice import _run_task, _witnesses
+from synclat.lattice import _maxima, _run_task, _witnesses
 from synclat.partition import canonical_coloring
 from synclat.refine import _columns, _filter_table, _prepare, _start_state
 from conftest import FIG1_BARS, bar
@@ -323,7 +323,7 @@ def split_starts(element, table):
     for color, members in enumerate(classes):
         if len(members) < 2:
             continue
-        for inside, outside in _witnesses(table, col, members, set()):
+        for inside, outside in _witnesses(table, col, members, {}):
             if any(len(w) > 1 for w in earlier_weights(table, classes, color, inside)):
                 continue
             labels = list(col)
@@ -350,7 +350,7 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     back = _columns(table, len(table))
     element = Partition.from_bar(top, graph.rows).coloring
     plain = []
-    want = _run_task(engine, table, back, set(), set(), element, plain.append)
+    want = _run_task(engine, table, back, set(), {}, element, plain.append)
     refined = len(split_passes)
     assert refined > 0
     # known colorings that no split starts from change nothing, as a set or
@@ -358,7 +358,7 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     for known in ({element}, {element: element}):
         split_passes.clear()
         steps = []
-        got = _run_task(engine, table, back, known, set(), element, steps.append)
+        got = _run_task(engine, table, back, known, {}, element, steps.append)
         assert (got, steps, len(split_passes)) == (want, plain, refined)
     # a split whose start is a known fixpoint is answered by the lookup; had
     # it been refined, it would have made one report and, with fewer than n
@@ -368,7 +368,7 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     assert answered and (len(answered) == want[1]) == all_known
     split_passes.clear()
     steps = []
-    got = _run_task(engine, table, back, known, set(), element, steps.append)
+    got = _run_task(engine, table, back, known, {}, element, steps.append)
     assert got == want
     assert len(steps) == len(plain) - len(answered)
     assert len(split_passes) == refined - sum(max(s) < len(s) for s in answered)
@@ -410,7 +410,7 @@ def test_every_coloring_the_refinement_hands_out_is_canonical():
         for element in lattice.elements:
             _, coloring, _ = _prepare(fam, element)
             reports = []
-            found, _, _ = _run_task(engine, table, back, set(), set(), coloring, reports.append)
+            found, _, _ = _run_task(engine, table, back, set(), {}, coloring, reports.append)
             # each split is reported from its own start, numbered canonically
             assert set(split_starts(coloring, table)) <= set(reports)
             for handed_out in [*reports, *found]:
@@ -421,6 +421,30 @@ def test_every_coloring_the_refinement_hands_out_is_canonical():
             assert (two.elements, two.cover_edges) == (lattice.elements, lattice.cover_edges)
             assert two.stats == lattice.stats
     assert checked > 1000
+
+
+def below(fine, coarse):
+    """Every class of ``fine`` inside one class of ``coarse``."""
+    classes = {}
+    for f, c in zip(fine, coarse):
+        classes.setdefault(f, set()).add(c)
+    return all(len(c) == 1 for c in classes.values())
+
+
+def test_maxima_match_brute_force():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        pool = list(all_partitions(n))
+        candidates = [p.coloring for p in rng.sample(pool, rng.randint(1, min(12, len(pool))))]
+        want = [c for c in candidates if not any(c != d and below(c, d) for d in candidates)]
+        assert sorted(_maxima(candidates)) == sorted(want)
+        # with one class count nothing refines anything else
+        k = rng.randint(1, n)
+        level = [p.coloring for p in pool if max(p.coloring) == k]
+        level = rng.sample(level, rng.randint(1, len(level)))
+        assert _maxima(level) == level
+    assert _maxima([]) == []
 
 
 def test_rectangular_family_rejected():

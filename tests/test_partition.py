@@ -13,6 +13,7 @@ from synclat import (
     column_space_contains,
     zeros,
 )
+from synclat.partition import _bars
 from conftest import rand_partition
 
 
@@ -75,6 +76,23 @@ def test_bar_round_trip_random():
     for _ in range(300):
         p = rand_partition(rng, rng.randint(1, 12))
         assert Partition.from_bar(p.bar(), p.n) == p
+
+
+def reference_bar(p):
+    sep = "," if p.n > 9 else ""
+    return "|".join(sep.join(map(str, c)) for c in p.classes())
+
+
+def test_bars_match_the_classes():
+    # the comma form starts at n = 10
+    rng = random.Random(5)
+    for n in range(1, 13):
+        parts = [rand_partition(rng, n) for _ in range(40)]
+        want = [reference_bar(p) for p in parts]
+        assert _bars([p.coloring for p in parts]) == want
+        assert [p.bar() for p in parts] == want
+        assert all(Partition.from_bar(p.bar(), n) == p for p in parts)
+    assert _bars([]) == []
 
 
 def test_characteristic_matrix_examples():

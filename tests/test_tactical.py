@@ -34,6 +34,7 @@ from synclat import (
 from synclat.lattice import _invariant_below
 from synclat.refine import _filter_table, _square_fixpoint, _start_state
 from conftest import K13_PAIRS, rand_partition
+from test_partition import reference_bar
 
 
 def rand_rect_family(rng, m, n):
@@ -221,6 +222,18 @@ def test_tactical_lattice_petersen_json_is_reproducible():
     first = tactical_lattice(family, workers=2).to_json_dict()
     assert first["stats"]["queue_peak"] == 82  # the inline value
     assert tactical_lattice(family, workers=2).to_json_dict() == first
+
+
+def test_pair_bars_match_the_classes(k13_family):
+    # Petersen has comma bars on both sides (10 and 15 points), K_{1,3} on none
+    for family in (petersen_incidence(), k13_family):
+        lat = tactical_lattice(family)
+        want = [
+            f"({reference_bar(e.row_part)}, {reference_bar(e.col_part)})" for e in lat
+        ]
+        assert lat.bars() == want
+        assert [e.bar() for e in lat] == want
+        assert all(PartitionPair.from_bar(e.bar(), *e.shape) == e for e in lat)
 
 
 def test_tactical_lattice_petersen_refinement_passes(split_passes):

@@ -36,7 +36,7 @@ from synclat import (
 )
 from synclat.lattice import _invariant_below, _run_task, _witnesses
 from synclat.networks import network_from_adjacencies
-from synclat.partition import canonical_coloring, iter_cover_colorings
+from synclat.partition import _class_splits, canonical_coloring, iter_cover_colorings
 from synclat.refine import _columns, _filter_table, _pack, _square_fixpoint, _start_state
 from test_tactical import petersen_incidence, rand_rect_family
 
@@ -252,6 +252,21 @@ def test_uniform_classes_prune_nothing():
     assert stats.cir_calls == stats.splits_examined + 1
 
 
+def test_uniform_splits_are_stored_from_the_second_visit():
+    # every class of K_6 is uniform: the first visit streams its splits and
+    # marks it, the second stores the list it yields
+    table = _filter_table(MatrixFamily([complete_graph(6)]).engine(), [1] * 6)
+    members = [0, 2, 3, 5]
+    col = [1, 2, 1, 1, 3, 1]
+    want = list(_class_splits(members))
+    uniform = {}
+    assert list(_witnesses(table, col, members, uniform)) == want
+    assert uniform == {(0, 2, 3, 5): None}
+    assert list(_witnesses(table, col, members, uniform)) == want
+    assert uniform == {(0, 2, 3, 5): want}
+    assert list(_witnesses(table, col, members, uniform)) == want
+
+
 def test_tactical_lattices_match_reference():
     with open(os.path.join(DATA, "fano.json")) as fh:
         fano = MatrixFamily(json.load(fh)["matrices"])
@@ -297,7 +312,7 @@ def test_each_fixpoint_is_kept_from_one_split():
         for element in lat.elements:
             # with nothing known, no split is answered by lookup
             start = element.joined() if tactical else element.coloring
-            found, examined, _ = _run_task(engine, table, back, set(), set(), start)
+            found, examined, _ = _run_task(engine, table, back, set(), {}, start)
             assert len(found) == len(set(found))
             refined += examined
     assert refined > 4000
@@ -322,7 +337,7 @@ def test_filter_passes_the_witness_of_every_brute_force_cover():
                 for members in classes:
                     witness = [i for i in members if below[i] == below[members[0]]]
                     if len(witness) < len(members):
-                        splits = _witnesses(table, col, members, set())
+                        splits = _witnesses(table, col, members, {})
                         assert (witness, sorted(set(members) - set(witness))) in splits
                         checked += 1
     assert checked > 100
@@ -393,7 +408,7 @@ def test_rejected_splits_are_ones_the_guard_drops():
             col, classes = _start_state(start)
             passed = 0
             for color, members in enumerate(classes):
-                for inside, outside in _witnesses(table, col, members, set()):
+                for inside, outside in _witnesses(table, col, members, {}):
                     weights = earlier_weights(table, classes, color, inside)
                     if all(len(w) == 1 for w in weights):
                         passed += 1
@@ -404,7 +419,7 @@ def test_rejected_splits_are_ones_the_guard_drops():
                     split_col, split_classes = _start_state(canonical_coloring(labels))
                     assert _square_fixpoint(engine, split_col, split_classes, witness=members[0]) is None
                     rejected += 1
-            _, examined, _ = _run_task(engine, table, back, set(), set(), start)
+            _, examined, _ = _run_task(engine, table, back, set(), {}, start)
             assert examined == passed
     assert rejected > 3000
 
@@ -421,7 +436,7 @@ def test_large_classes_are_searched_without_recursion():
     for n in (1100, 3000):
         table = _filter_table(cycle_engine(n), [1] * n)
         members = list(range(n))
-        splits = list(islice(_witnesses(table, [0] * n, members, set()), 5))
+        splits = list(islice(_witnesses(table, [0] * n, members, {}), 5))
         assert len(splits) == 5
         for inside, outside in splits:
             assert inside[0] == 0 and outside
@@ -483,7 +498,7 @@ def test_witnesses_come_in_breadth_first_take_before_leave_order():
                     if not 3 <= len(members) <= 12 or uniform(table, members):
                         continue
                     expected = witnesses_by_product(table, members)
-                    assert list(_witnesses(table, col, members, set())) == expected
+                    assert list(_witnesses(table, col, members, {})) == expected
                     checked += 1
                     several += len(expected) > 1
     assert checked > 50 and several > 20
