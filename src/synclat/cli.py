@@ -31,7 +31,9 @@ Input schemas (all indices 1-based on the wire):
   family, with 0/1 entries.
 
 The declared counts "rows", "cols", "order", "points" and "lines" may be
-left out; if given, each must be an integer equal to what it counts.
+left out; if given, each must be an integer equal to what it counts.  A
+network's colors are the colors its arrows use; a declared "num_colors" must
+be an integer at least the largest of them, and is otherwise ignored.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .lattice import InvariantLattice, _invariant_below, invariant_lattice
@@ -52,22 +51,17 @@ class ColoredNetwork:
     """Arrow-colored digraph with a cell-type partition.
 
     ``arrows`` is a multiset of (source, target, color) triples with 1-based
-    cells and colors; parallel arrows repeat.  ``num_colors`` may exceed the
-    largest color in use, in which case the unused colors contribute zero
-    adjacency matrices.
+    cells and colors; parallel arrows repeat.  The network's colors are the
+    colors its arrows use: a color without arrows would add a zero adjacency
+    matrix, which constrains no partition.
     """
 
     n: int
     cell_types: Partition
     arrows: tuple
-    num_colors: int
 
     def __init__(
-        self,
-        n: int,
-        arrows: Iterable,
-        cell_types: Optional[Partition] = None,
-        num_colors: Optional[int] = None,
+        self, n: int, arrows: Iterable, cell_types: Optional[Partition] = None
     ):
         n = _index(n)
         if n < 1:
@@ -84,34 +78,32 @@ class ColoredNetwork:
                 raise ValueError(f"arrow ({s}, {t}) out of cell range 1..{n}")
             if c < 1:
                 raise ValueError(f"arrow color {c} must be positive")
-        max_used = max((c for _, _, c in arrows), default=1)
-        num_colors = max_used if num_colors is None else _index(num_colors)
-        if num_colors < max_used:
-            raise ValueError(f"num_colors={num_colors} below largest used color {max_used}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cell_types", cell_types)
         object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "num_colors", num_colors)
-        self._check_consistency()
-
-    def _check_consistency(self) -> None:
-        types = self.cell_types.coloring
-        for color in range(1, self.num_colors + 1):
-            heads = {types[t - 1] for s, t, c in self.arrows if c == color}
-            tails = {types[s - 1] for s, t, c in self.arrows if c == color}
+        types = cell_types.coloring
+        for color, pairs in self._arrows_by_color().items():
+            heads = {types[t - 1] for s, t in pairs}
+            tails = {types[s - 1] for s, t in pairs}
             if len(heads) > 1 or len(tails) > 1:
                 warnings.warn(
                     f"arrows of color {color} join several cell types "
                     f"(head types {sorted(heads)}, tail types {sorted(tails)})",
                     NetworkConsistencyWarning,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
+
+    def _arrows_by_color(self) -> dict:
+        """The (source, target) pairs of each color in use, by increasing color."""
+        groups = {}
+        for s, t, c in sorted(self.arrows, key=lambda arrow: arrow[2]):
+            groups.setdefault(c, []).append((s, t))
+        return groups
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "cell_types": list(self.cell_types.coloring),
-            "num_colors": self.num_colors,
             "arrows": [
                 {"from": s, "to": t, "color": c} for s, t, c in self.arrows
             ],
@@ -119,22 +111,28 @@ class ColoredNetwork:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ColoredNetwork":
+        """A declared ``num_colors`` is checked, then dropped."""
         n = obj["n"]
         types = obj.get("cell_types")
         cell_types = Partition([_index(c) for c in types]) if types else None
         arrows = [(a["from"], a["to"], a.get("color", 1)) for a in obj["arrows"]]
-        return cls(n, arrows, cell_types=cell_types, num_colors=obj.get("num_colors"))
+        net = cls(n, arrows, cell_types=cell_types)
+        declared = obj.get("num_colors")
+        largest = max((c for _, _, c in net.arrows), default=1)
+        if declared is not None and _index(declared) < largest:
+            raise ValueError(f"num_colors={declared} below largest used color {largest}")
+        return net
 
 
 def monochrome_adjacency(net: ColoredNetwork) -> MatrixFamily:
-    """One in-adjacency matrix per arrow color: entry (i, j) counts the
-    arrows of that color from cell j to cell i."""
+    """One in-adjacency matrix per color in use, by increasing color: entry
+    (i, j) counts the arrows of that color from cell j to cell i.  A network
+    without arrows gets one zero matrix, as a family cannot be empty."""
     mats = []
-    for color in range(1, net.num_colors + 1):
+    for pairs in list(net._arrows_by_color().values()) or [[]]:
         grid = [[0] * net.n for _ in range(net.n)]
-        for s, t, c in net.arrows:
-            if c == color:
-                grid[t - 1][s - 1] += 1
+        for s, t in pairs:
+            grid[t - 1][s - 1] += 1
         mats.append(RationalMatrix(grid))
     return MatrixFamily(mats)
 
@@ -143,7 +141,8 @@ def network_from_adjacencies(
     matrices: Sequence, cell_types: Optional[Partition] = None
 ) -> ColoredNetwork:
     """Build an arrow-colored network from in-adjacency matrices with
-    nonnegative integer entries (entry value = arrow multiplicity)."""
+    nonnegative integer entries (entry value = arrow multiplicity); matrix l
+    gives the arrows of color l, so a zero matrix gives no color."""
     fam = MatrixFamily(matrices)
     if not fam.is_square:
         raise ValueError("adjacency matrices must be square")
@@ -157,9 +156,7 @@ def network_from_adjacencies(
                         f"adjacency entries must be nonnegative integers, got {x}"
                     )
                 arrows.extend([(j + 1, i + 1, color)] * int(x))
-    return ColoredNetwork(
-        n, arrows, cell_types=cell_types, num_colors=len(fam.matrices)
-    )
+    return ColoredNetwork(n, arrows, cell_types=cell_types)
 
 
 def laplacian(weights: RationalMatrix) -> RationalMatrix:
@@ -171,32 +168,30 @@ def laplacian(weights: RationalMatrix) -> RationalMatrix:
     if weights.rows != weights.cols:
         raise ValueError("laplacian needs a square matrix")
     out = []
-    for i, row in enumerate(weights.entries):
-        d = sum(row)
-        out.append([(d if i == j else Fraction(0)) - x for j, x in enumerate(row)])
+    for i, row in enumerate(weights.sparse_rows()):
+        line = [0] * weights.cols
+        for j, x in row:
+            line[j] = -x
+        line[i] += sum(x for _, x in row)
+        out.append(line)
     return RationalMatrix(out)
 
 
 def cell_types_to_loops(net: ColoredNetwork) -> ColoredNetwork:
     """Replace the cell-type partition by per-type loop colors.
 
-    Every cell gets a loop whose color encodes its cell type; the cell-type
-    partition collapses to a single class.  The balanced partitions are
-    unchanged, because refining the cell-type partition is the same
-    constraint as being balanced for the added loop colors.  A single-type
-    network gains one identity-matrix color, which never changes the
-    invariant set.
+    Every cell gets a loop whose color, past the largest color in use,
+    encodes its cell type; the cell-type partition collapses to a single
+    class.  The balanced partitions are unchanged, because refining the
+    cell-type partition is the same constraint as being balanced for the
+    added loop colors.  A single-type network gains one identity-matrix
+    color, which never changes the invariant set.
     """
+    base = max((c for _, _, c in net.arrows), default=0)
     arrows = list(net.arrows)
-    base = net.num_colors
     for i, c in enumerate(net.cell_types.coloring, start=1):
         arrows.append((i, i, base + c))
-    return ColoredNetwork(
-        net.n,
-        arrows,
-        cell_types=Partition.singleton(net.n),
-        num_colors=base + net.cell_types.num_classes,
-    )
+    return ColoredNetwork(net.n, arrows, cell_types=Partition.singleton(net.n))
 
 
 def balanced_partitions(net: ColoredNetwork, **kwargs) -> InvariantLattice:
@@ -378,7 +373,7 @@ def cayley_network(group: GroupTable, generators: Sequence[int]) -> ColoredNetwo
         for color, s in enumerate(gens, start=1)
         for g in range(group.order)
     ]
-    return ColoredNetwork(group.order, arrows, num_colors=len(gens))
+    return ColoredNetwork(group.order, arrows)
 
 
 def subgroups(group: GroupTable) -> list:

@@ -15,6 +15,7 @@ output; Partition deliberately implements neither __lt__ nor __le__.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
@@ -199,8 +200,8 @@ class Partition:
 
 
 def _check_n(n: int) -> int:
-    if _index(n) < 1:
-        raise ValueError(f"ground set size must be positive, got {n}")
+    if not 1 <= _index(n) <= sys.maxsize:
+        raise ValueError(f"ground set size must be in 1..{sys.maxsize}, got {n}")
     return n
 
 

@@ -1,8 +1,14 @@
+import contextlib
+import copy
 import hashlib
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
+import time
+import warnings
 
 import pytest
 
@@ -13,7 +19,7 @@ from synclat import (
     cycle_graph,
     graph_incidence,
 )
-from synclat.cli import main
+from synclat.cli import _COMMANDS, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -258,6 +264,64 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         declared.write_text(json.dumps(obj))
         code, out, err = run(capsys, command, f"--{source}", str(declared))
         assert code == 2 and out == "" and shown in err
+
+
+def test_network_reader_checks_declared_sizes(capsys, tmp_path):
+    # a declared num_colors is checked, then dropped: an integer at least the
+    # largest color in use
+    with open(path("balex2.json")) as fh:
+        balex2 = json.load(fh)
+    bad = tmp_path / "bad.json"
+    for obj, shown in (
+        (dict(balex2, num_colors=True), "True"),
+        (dict(balex2, num_colors=2.5), "2.5"),
+        (dict(balex2, num_colors=1), "num_colors=1 below largest used color 2"),
+        ({"n": 10**30, "arrows": [{"from": 1, "to": 2}]}, "ground set size"),
+    ):
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "balanced", "--network", str(bad))
+        assert code == 2 and out == "" and shown in err
+
+
+class Hung(Exception):
+    """Raised by :func:`alarm`.  It is no ``OSError`` (as ``TimeoutError``
+    is), which ``main`` would report as exit 2."""
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    def ring(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_huge_colors_are_not_scanned(capsys, tmp_path):
+    # a network's colors are the colors its arrows use, so neither a huge
+    # declared num_colors nor a huge color costs a loop over the colors
+    with open(path("balex2.json")) as fh:
+        balex2 = json.load(fh)
+    undeclared = {k: v for k, v in balex2.items() if k != "num_colors"}
+    one_arrow = {"n": 4, "arrows": [{"from": 1, "to": 2, "color": 1}]}
+    huge_color = {"n": 4, "arrows": [{"from": 1, "to": 2, "color": 10**30}]}
+    net, same = tmp_path / "net.json", tmp_path / "same.json"
+    for obj, plain in ((dict(balex2, num_colors=10**30), undeclared), (huge_color, one_arrow)):
+        net.write_text(json.dumps(obj))
+        same.write_text(json.dumps(plain))
+        for command in ("balanced", "exo-balanced", "verify"):
+            start = time.perf_counter()
+            with alarm(5):
+                code, out, err = run(capsys, command, "--network", str(net))
+            assert time.perf_counter() - start < 1
+            want = run(capsys, command, "--network", str(same))
+            assert (code, out, verify_lines(err)) == (want[0], want[1], verify_lines(want[2]))
+            assert code == 0
 
 
 def test_incidence_matrices_may_be_matrix_objects(capsys, tmp_path):
@@ -517,3 +581,65 @@ def test_module_entry_point():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     assert verify_lines(proc.stderr) == ["verify ok (lattice): 11 elements, 16 cover edges"]
+
+
+# the input options that read each tests/data file
+FUZZ_SOURCES = {
+    "bad_float.json": ("matrices",),
+    "balex2.json": ("network",),
+    "c28.json": ("adjacency",),
+    "cipnet.json": ("matrices", "incidence"),
+    "fano.json": ("matrices", "incidence"),
+    "fig1.json": ("matrices", "adjacency"),
+    "forpath.json": ("network",),
+    "k13.json": ("incidence",),
+    "k6.json": ("adjacency",),
+    "path4.json": ("matrices", "adjacency"),
+    "q8.json": ("group",),
+    "rect.json": ("matrices",),
+}
+# no mid-sized integers: a network of a few hundred cells and few arrows has
+# a lattice that exhausts memory before the element cap stops the search
+FUZZ_VALUES = (0, -1, 1, 2, 10**30, True, 2.5, "x", None, [], {})
+
+
+def mutate(obj, rng):
+    """A copy of ``obj`` with one dict key or list item dropped, or set to
+    one of FUZZ_VALUES; a random walk from the top picks which."""
+    obj = copy.deepcopy(obj)
+    node = obj
+    while True:
+        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and rng.random() < 0.6):
+            break
+        node = child
+    choice = rng.randrange(len(FUZZ_VALUES) + 1)
+    if choice == len(FUZZ_VALUES):
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(FUZZ_VALUES[choice])
+    return obj
+
+
+def test_mutated_inputs_exit_cleanly(capsys, tmp_path):
+    # every command that reads a mutated tests/data file ends with exit 0, 2
+    # or 3 before the alarm: no traceback and no hang
+    assert sorted(FUZZ_SOURCES) == sorted(os.listdir(DATA))
+    rng = random.Random(13)
+    mutated = tmp_path / "mutated.json"
+    for name, sources in FUZZ_SOURCES.items():
+        with open(path(name)) as fh:
+            original = json.load(fh)
+        for _ in range(8):
+            text = json.dumps(mutate(original, rng))
+            mutated.write_text(text)
+            for source in sources:
+                for command, _, inputs in _COMMANDS:
+                    if source not in inputs:
+                        continue
+                    with warnings.catch_warnings(), alarm(5):
+                        warnings.simplefilter("ignore")
+                        code = main([command, f"--{source}", str(mutated)])
+                    capsys.readouterr()
+                    assert code in (0, 2, 3), (command, source, text)

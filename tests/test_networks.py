@@ -52,9 +52,15 @@ def test_monochrome_adjacency_quotient_digraph():
 
 
 def test_monochrome_adjacency_unused_color():
-    net = ColoredNetwork(3, [(1, 2, 1)], num_colors=2)
-    fam = monochrome_adjacency(net)
-    assert fam.matrices[1] == RationalMatrix([[0] * 3] * 3)
+    # color 2 has no arrows, so it adds no zero matrix
+    net = ColoredNetwork(3, [(1, 2, 1), (2, 3, 3)])
+    assert list(monochrome_adjacency(net).matrices) == [
+        RationalMatrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
+        RationalMatrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+    ]
+    # a family cannot be empty: a network without arrows gets one zero matrix
+    fam = monochrome_adjacency(ColoredNetwork(3, []))
+    assert list(fam.matrices) == [RationalMatrix([[0] * 3] * 3)]
 
 
 def test_network_round_trips_adjacencies():
@@ -67,7 +73,42 @@ def test_network_round_trips_adjacencies():
         ]
         net = network_from_adjacencies(mats)
         got = monochrome_adjacency(net)
-        assert list(got.matrices) == [RationalMatrix(m) for m in mats]
+        # a zero matrix gives no color, unless every matrix is zero
+        nonzero = [RationalMatrix(m) for m in mats if any(map(any, m))]
+        assert list(got.matrices) == (nonzero or [RationalMatrix(mats[0])])
+
+
+def test_unused_colors_change_no_lattice():
+    # colors {1, 3} give the lattices of the family [M1, 0, M3], in which
+    # the unused color 2 stands for a zero matrix
+    import warnings
+
+    from synclat.lattice import _invariant_below
+
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        m1, m3 = ([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)] for _ in "13")
+        arrows = [
+            (j + 1, i + 1, color)
+            for color, m in ((1, m1), (3, m3))
+            for i in range(n)
+            for j in range(n)
+            if m[i][j]
+        ]
+        labels = [1] + [rng.randint(1, 2) for _ in range(n - 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NetworkConsistencyWarning)
+            net = ColoredNetwork(n, arrows, cell_types=Partition(labels))
+        family = MatrixFamily([m1, [[0] * n for _ in range(n)], m3])
+        laplacians = MatrixFamily([laplacian(m) for m in family.matrices])
+        for got, fam in (
+            (balanced_partitions(net), family),
+            (exo_balanced_partitions(net), laplacians),
+        ):
+            want = _invariant_below(fam, net.cell_types)
+            assert got.elements == want.elements
+            assert got.cover_edges == want.cover_edges
 
 
 def test_consistency_warning():
@@ -189,7 +230,7 @@ def test_balanced_search_below_cell_types_keeps_the_down_set():
 def test_loops_on_single_type_are_harmless():
     net = network_from_adjacencies([[[0, 1], [1, 0]]])
     looped = cell_types_to_loops(net)
-    assert looped.num_colors == 2
+    assert len(monochrome_adjacency(looped).matrices) == 2
     assert monochrome_adjacency(looped).matrices[1] == RationalMatrix(
         [[1, 0], [0, 1]]
     )
@@ -489,7 +530,9 @@ def test_float_and_bool_indices_are_rejected():
     with pytest.raises(ValueError, match="True"):
         ColoredNetwork(True, [(1, 1, 1)])
     with pytest.raises(ValueError, match="True"):
-        ColoredNetwork(2, [(1, 2, 1)], num_colors=True)
+        ColoredNetwork.from_json_dict(
+            {"n": 2, "num_colors": True, "arrows": [{"from": 1, "to": 2}]}
+        )
     for labels, shown in (([1, True, 2], "True"), ([1, 1.5, 2], "1.5")):
         obj = {"n": 3, "cell_types": labels, "arrows": [{"from": 1, "to": 2}]}
         with pytest.raises(ValueError, match=shown):
@@ -542,4 +585,4 @@ def test_network_json_round_trip(balex2_net):
     back = ColoredNetwork.from_json_dict(obj)
     assert back.arrows == balex2_net.arrows
     assert back.cell_types == balex2_net.cell_types
-    assert back.num_colors == balex2_net.num_colors
+    assert "num_colors" not in obj
