@@ -3,18 +3,19 @@
 Commands take JSON inputs (schemas below), compute with the exact engine,
 and write text, JSON, or DOT to stdout; diagnostics go to stderr.
 
-All lattice commands share one path.  :func:`_lattices` turns the arguments
-into labelled lattices, each with the family and the ``below`` partition
-that the brute-force oracle checks it against, and under --verify
-:func:`_verify` checks each one right after it is written: elements first,
-then cover edges.  ``verify --X`` is every command that reads input X, run
-with --verify and no stdout: --network runs balanced and exo-balanced,
---adjacency equitable and almost-equitable, --group cayley, --matrices
-lattice (tactical for rectangular matrices), --incidence tactical.  The
-cayley check also compares with the subgroup coset partitions when the
-generators generate the group.  A check that the oracle refuses as past its
-size caps (:class:`synclat.oracle.OracleLimit`) is skipped with the oracle's
-reason, not failed.  ``cir`` computes one partition and has its own check.
+All lattice commands share one path.  Each is one search of a matrix family
+built once: :func:`_searches` turns the arguments into labelled families,
+each with the top whose invariant refinements form its lattice, and under
+--verify :func:`_verify` checks each lattice against that same family and
+top right after it is written: elements first, then cover edges.
+``verify --X`` is every command that reads input X, run with --verify and
+no stdout: --network runs balanced and exo-balanced, --adjacency equitable
+and almost-equitable, --group cayley, --matrices lattice (tactical for
+rectangular matrices), --incidence tactical.  The cayley check also
+compares with the subgroup coset partitions when the generators generate
+the group.  A check that the oracle refuses as past its size caps
+(:class:`synclat.oracle.OracleLimit`) is skipped with the oracle's reason,
+not failed.  ``cir`` computes one partition and has its own check.
 
 Exit codes: 0 success, 2 parse or validation error, 3 element-cap abort,
 4 oracle mismatch under --verify.
@@ -33,7 +34,8 @@ Input schemas (all indices 1-based on the wire):
 The declared counts "rows", "cols", "order", "points" and "lines" may be
 left out; if given, each must be an integer equal to what it counts.  A
 network's colors are the colors its arrows use; a declared "num_colors" must
-be an integer at least the largest of them, and is otherwise ignored.
+be an integer at least the largest of them, and is otherwise ignored.  A
+network's "cell_types", unless left out or null, must list n integer labels.
 """
 
 from __future__ import annotations
@@ -44,30 +46,22 @@ import sys
 from functools import partial
 from typing import Iterator, Optional
 
-from .lattice import (
-    ElementCapExceeded,
-    InvariantLattice,
-    invariant_lattice,
-    tactical_lattice,
-)
+from .lattice import ElementCapExceeded, InvariantLattice, _invariant_below
 from .networks import (
     ColoredNetwork,
     GroupTable,
     IncidenceStructure,
-    balanced_partitions,
+    _check_simple_graph,
     cayley_network,
-    equitable_partitions,
-    exo_balanced_partitions,
-    almost_equitable_partitions,
     incidence_family,
     laplacian,
     monochrome_adjacency,
     subgroup_coset_partitions,
 )
 from .oracle import OracleLimit, brute_invariant_set, brute_tactical_set, hasse_edges
-from .partition import Partition
+from .partition import Partition, PartitionPair
 from .rational import RationalMatrix
-from .refine import MatrixFamily, cir_chain, is_invariant
+from .refine import Element, MatrixFamily, cir_chain, is_invariant
 
 
 def emit_dot(lattice: InvariantLattice) -> str:
@@ -102,13 +96,10 @@ def _load_json(path: str):
 
 
 def _verify(
-    label: str,
-    lattice: InvariantLattice,
-    family: MatrixFamily,
-    below: Optional[Partition],
+    label: str, lattice: InvariantLattice, family: MatrixFamily, top: Element
 ) -> Optional[bool]:
     """Check a lattice against the brute-force oracle: its elements against
-    the invariant partitions of ``family`` that refine ``below`` (tactical
+    the invariant partitions of ``family`` that refine ``top`` (tactical
     decompositions, for a pair lattice), then its cover edges against the
     oracle's transitive reduction.  None when past the oracle's size caps."""
     try:
@@ -119,8 +110,7 @@ def _verify(
     except OracleLimit as exc:
         print(f"verify skipped ({label}): {exc}", file=sys.stderr)
         return None
-    if below is not None:
-        expected = {p for p in expected if p.refines(below)}
+    expected = {p for p in expected if p.refines(top)}
     got = set(lattice.elements)
     if got != expected:
         missing = sorted(p.bar() for p in expected - got)
@@ -239,45 +229,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _lattices(args) -> Iterator[tuple]:
-    """Compute the lattices a command asks for, one at a time.
+def _searches(args) -> Iterator[tuple]:
+    """The searches a command asks for, each family built once.
 
-    Yields ``(label, lattice, family, below, also)``: :func:`_verify` checks
-    the lattice against the invariant partitions of ``family`` that refine
-    ``below``, and ``also``, when not None, is one more check to call with
-    the lattice.  ``verify`` asks for every lattice that the commands reading
-    its input compute.
+    Yields ``(label, family, top, also)``: the lattice is the invariant
+    partitions of ``family`` that refine ``top``, :func:`_verify` checks it
+    against the same family and top, and ``also``, when not None, is one
+    more check to call with the lattice.  ``verify`` asks for every search
+    that the commands reading its input run.
     """
 
     def wants(command: str) -> bool:
         return args.command in (command, "verify")
 
-    kw = {"element_cap": args.cap}
     if args.network:
         net = ColoredNetwork.from_json_dict(_load_json(args.network))
         fam = monochrome_adjacency(net)
         if wants("balanced"):
-            yield "balanced", balanced_partitions(net, **kw), fam, net.cell_types, None
+            yield "balanced", fam, net.cell_types, None
         if wants("exo-balanced"):
-            lat = exo_balanced_partitions(net, **kw)
             lfam = MatrixFamily([laplacian(m) for m in fam.matrices])
-            yield "exo-balanced", lat, lfam, net.cell_types, None
+            yield "exo-balanced", lfam, net.cell_types, None
     elif args.adjacency:
-        adjacency = RationalMatrix.from_json_dict(_load_json(args.adjacency))
+        obj = _load_json(args.adjacency)
+        adjacency = _check_simple_graph(RationalMatrix.from_json_dict(obj))
+        top = Partition.singleton(adjacency.cols)
         if wants("equitable"):
-            lat = equitable_partitions(adjacency, **kw)
-            yield "equitable", lat, MatrixFamily([adjacency]), None, None
+            yield "equitable", MatrixFamily([adjacency]), top, None
         if wants("almost-equitable"):
-            lat = almost_equitable_partitions(adjacency, **kw)
-            yield "almost-equitable", lat, MatrixFamily([laplacian(adjacency)]), None, None
+            yield "almost-equitable", MatrixFamily([laplacian(adjacency)]), top, None
     elif args.group:
         obj = _load_json(args.group)
         group = GroupTable.from_json_dict(obj)
         generators = obj.get("generators") or []
         net = cayley_network(group, generators)
-        lat = balanced_partitions(net, **kw)
         cosets = partial(_verify_cosets, group, generators)
-        yield "cayley", lat, monochrome_adjacency(net), net.cell_types, cosets
+        yield "cayley", monochrome_adjacency(net), net.cell_types, cosets
     else:
         if args.incidence:
             inc = IncidenceStructure.from_json_dict(_load_json(args.incidence))
@@ -288,22 +275,23 @@ def _lattices(args) -> Iterator[tuple]:
         if args.command == "lattice" and not square:
             raise ValueError("the 'lattice' command needs square matrices; see 'tactical'")
         if square:
-            lat = invariant_lattice(family, **kw)
-            yield "lattice", lat, family, None, None
+            yield "lattice", family, Partition.singleton(family.cols), None
         else:
-            lat = tactical_lattice(family, **kw)
-            yield "tactical", lat, family, None, None
+            top = PartitionPair.singleton(family.rows, family.cols)
+            yield "tactical", family, top, None
 
 
 def _cmd_lattices(args) -> int:
-    """Emit each lattice in ``--format`` (none for ``verify``), and under
-    ``--verify`` check it right after; exit 4 if any check failed."""
+    """Search each family below its top, emit the lattice in ``--format``
+    (none for ``verify``), and under ``--verify`` check it right after; exit
+    4 if any check failed."""
     checks = []
-    for label, lattice, family, below, also in _lattices(args):
+    for label, family, top, also in _searches(args):
+        lattice = _invariant_below(family, top, element_cap=args.cap)
         if args.format:
             _emit_lattice(lattice, args.format)
         if args.verify:
-            checks.append(_verify(label, lattice, family, below))
+            checks.append(_verify(label, lattice, family, top))
             if also is not None:
                 checks.append(also(lattice))
     return 4 if False in checks else 0

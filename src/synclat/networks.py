@@ -114,7 +114,7 @@ class ColoredNetwork:
         """A declared ``num_colors`` is checked, then dropped."""
         n = obj["n"]
         types = obj.get("cell_types")
-        cell_types = Partition([_index(c) for c in types]) if types else None
+        cell_types = None if types is None else Partition([_index(c) for c in types])
         arrows = [(a["from"], a["to"], a.get("color", 1)) for a in obj["arrows"]]
         net = cls(n, arrows, cell_types=cell_types)
         declared = obj.get("num_colors")

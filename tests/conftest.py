@@ -5,8 +5,11 @@ family; expected outputs asserted in the tests were either taken from the
 same sources or recomputed with the brute-force oracle.
 """
 
+import sys
+
 import pytest
 
+import synclat.cli  # the one submodule that synclat does not import
 from synclat import (
     IncidenceStructure,
     MatrixFamily,
@@ -15,6 +18,22 @@ from synclat import (
     incidence_family,
 )
 from synclat.networks import network_from_adjacencies
+
+# the synclat modules that these tests import; the bench set-up deletes them
+# from sys.modules and imports fresh copies, which the tests must not see
+SYNCLAT_MODULES = {
+    name: module
+    for name, module in sys.modules.items()
+    if name == "synclat" or name.startswith("synclat.")
+}
+
+
+@pytest.fixture(autouse=True)
+def synclat_modules(monkeypatch):
+    """Put this suite's synclat modules back into sys.modules, so a test
+    that imports or patches a submodule reaches the copy the suite runs."""
+    for name, module in SYNCLAT_MODULES.items():
+        monkeypatch.setitem(sys.modules, name, module)
 
 
 def bar(text, n):

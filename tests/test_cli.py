@@ -242,6 +242,12 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         ({"n": 3, "cell_types": [1, 1.5, 2], "arrows": arrow}, "1.5"),
         ({"n": True, "arrows": [{"from": 1, "to": 1}]}, "True"),
         ({"n": 2, "num_colors": True, "arrows": arrow}, "True"),
+        # a present cell_types is a list of labels, even when it is falsy
+        ({"n": 3, "cell_types": 0, "arrows": arrow}, "not iterable"),
+        ({"n": 3, "cell_types": False, "arrows": arrow}, "not iterable"),
+        ({"n": 3, "cell_types": {}, "arrows": arrow}, "empty set"),
+        ({"n": 3, "cell_types": [], "arrows": arrow}, "empty set"),
+        ({"n": 3, "cell_types": "", "arrows": arrow}, "empty set"),
     ):
         bad_network.write_text(json.dumps(obj))
         code, out, err = run(capsys, "balanced", "--network", str(bad_network))
@@ -322,6 +328,46 @@ def test_huge_colors_are_not_scanned(capsys, tmp_path):
             want = run(capsys, command, "--network", str(same))
             assert (code, out, verify_lines(err)) == (want[0], want[1], verify_lines(want[2]))
             assert code == 0
+
+
+# per command line: its calls of monochrome_adjacency, laplacian and
+# _check_simple_graph; balex2 has two colors
+BUILD_COUNTS = [
+    ("balanced --network balex2.json", (1, 0, 0)),
+    ("balanced --network balex2.json --verify", (1, 0, 0)),
+    ("exo-balanced --network balex2.json", (1, 2, 0)),
+    ("verify --network balex2.json", (1, 2, 0)),
+    ("equitable --adjacency path4.json", (0, 0, 1)),
+    ("almost-equitable --adjacency path4.json", (0, 1, 1)),
+    ("verify --adjacency path4.json", (0, 1, 1)),
+    ("cayley --group q8.json", (1, 0, 0)),
+    ("verify --group q8.json", (1, 0, 0)),
+    ("verify --matrices fig1.json", (0, 0, 0)),
+    ("verify --incidence k13.json", (0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("line, want", BUILD_COUNTS, ids=[line for line, _ in BUILD_COUNTS])
+def test_each_family_is_built_once(capsys, monkeypatch, line, want):
+    # the search and --verify read one family, built once
+    import synclat.cli as cli
+    import synclat.networks as networks
+
+    names = ("monochrome_adjacency", "laplacian", "_check_simple_graph")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(networks, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(networks, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    argv = [path(a) if a.endswith(".json") else a for a in line.split()]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert tuple(calls.values()) == want
 
 
 def test_incidence_matrices_may_be_matrix_objects(capsys, tmp_path):
