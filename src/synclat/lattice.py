@@ -54,9 +54,14 @@ give one:
   stronger.  L splits no class Y of E before X, so each such Y is a class
   of L too, and F maps the indicator of S to a vector constant on Y: every
   member of Y gets the same F-weight sum_{j in S} F_yj from S.  A second
-  stage checks that on every earlier class with two or more members, adding
-  the weights over F's columns (:func:`synclat.refine._columns`).  Only
-  splits that pass both stages are refined.
+  stage checks that on every earlier class with two or more members, as
+  one exact sum of per-member codes: each member j of X has the code d_j =
+  sum_i F_ij·c_i over F's column j (:func:`synclat.refine._columns`), where
+  each member of Y after the smallest has its own digit c_i, a power of
+  2**b, and Y's smallest member minus their sum, and S passes exactly when
+  sum_{j in S} d_j = 0.  The width b of the digits keeps them exact (see
+  :func:`synclat.refine._digits`).  Only splits that pass both stages are
+  refined.
 * Guard.  Every step P of the refinement chain from Q satisfies
   L <= P <= Q, so S and every class of E before X stay whole in every step.
   A chain whose step splits S or a class of E before X is abandoned and its
@@ -103,7 +108,6 @@ on, so a large class seen once is never held as a list.
 from __future__ import annotations
 
 from bisect import bisect
-from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import groupby
@@ -114,6 +118,7 @@ from .partition import Partition, PartitionPair, _bars, _class_splits, _refines
 from .refine import (
     Element,
     MatrixFamily,
+    _code_bits,
     _columns,
     _filter_table,
     _prepare,
@@ -312,11 +317,12 @@ def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
     splits = pruned = 0
     table = _filter_table(engine, start)
     back = _columns(table, len(table))
+    bits = _code_bits(table)
     uniform: dict = {}
     queue_peak = 1
     for e, element in enumerate(order):
         found, examined, skipped = _run_task(
-            engine, table, back, seen, uniform, element, on_step
+            engine, table, back, bits, seen, uniform, element, on_step
         )
         splits += examined
         pruned += skipped
@@ -368,6 +374,7 @@ def _run_task(
     engine: tuple,
     table: tuple,
     back: list,
+    bits: int,
     known: Container[tuple],
     uniform: dict,
     element: tuple,
@@ -388,17 +395,20 @@ def _run_task(
     by lookup, with no pass.  Any other split goes on only if every class
     before X with two or more members gets one F-weight from S (a member
     with no entry gets 0); a split that fails could only start a chain that
-    the guard drops.
+    the guard drops.  That check is one exact sum: each member j of X has
+    the code d_j of :func:`_member_code`, made at its first check with the
+    digits ``bits`` wide of :func:`_digit_places`, and the split passes
+    exactly when sum_{j in S} d_j is 0 (see :func:`synclat.refine._digits`).
     """
     col, classes = _start_state(element)
     smallest = [members[0] for members in classes]
     bases: dict = {}  # at -> col with the colors above at moved one up
     found = []  # distinct: each kept result names its own split
     examined = 0
+    codes = None  # j -> d_j, from the element's first check of earlier classes
     for color, members in enumerate(classes):
         if len(members) < 2:
             continue
-        guarded = [earlier for earlier in classes[:color] if len(earlier) > 1]
         for inside, outside in _witnesses(table, col, members, uniform):
             at = bisect(smallest, outside[0])
             base = bases.get(at)
@@ -411,12 +421,17 @@ def _run_task(
             if start in known:
                 fixpoint = start
             else:
-                if guarded:
-                    weight = defaultdict(int)  # i -> sum_{j in S} F_ij
+                if color:
+                    if codes is None:
+                        codes = {}
+                        place, lowest = _digit_places(classes, bits)
+                    total = 0
                     for j in inside:
-                        for i, f in back[j]:
-                            weight[i] += f
-                    if any(len({weight[i] for i in y}) > 1 for y in guarded):
+                        code = codes.get(j)
+                        if code is None:
+                            code = codes[j] = _member_code(back[j], col, color, place, lowest)
+                        total += code
+                    if total:
                         continue  # pruned: the guard would drop its chain
                 split_classes = classes.copy()
                 split_classes[color] = inside
@@ -429,6 +444,43 @@ def _run_task(
                 found.append(fixpoint)
     skipped = sum((1 << (len(members) - 1)) - 1 for members in classes) - examined
     return found, examined, skipped
+
+
+def _digit_places(classes: list, bits: int) -> tuple:
+    """The digits of an element's classes for the second stage of the
+    filter, as ``(place, lowest)``.  In each class Y with two or more
+    members, every member after the smallest has its own digit
+    2**(bits·k), given in ``place`` as its shift bits·k, and Y's smallest
+    member has minus the sum of Y's digits, given in ``lowest`` as their
+    shifts.  Earlier classes have lower digits."""
+    place: dict = {}
+    lowest: dict = {}
+    for y in classes:
+        if len(y) > 1:
+            shifts = range(bits * len(place), bits * (len(place) + len(y) - 1), bits)
+            place.update(zip(y[1:], shifts))
+            lowest[y[0]] = shifts
+    return place, lowest
+
+
+def _member_code(column: list, col: list, color: int, place: dict, lowest: dict) -> int:
+    """The code d_j = sum_{(i, f) in column} f·c_i of a member j of the
+    class X of color ``color`` + 1, for its column ``back[j]`` of F: c_i is
+    the digit code of :func:`_digit_places` for a member i of a class
+    before X (``col[i] <= color``) and 0 for any other i.  So the sum of d_j over S is 0
+    exactly when every member of each class before X gets the F-weight of
+    that class's smallest member from S.  Digits are placed by shifts, not
+    products, since F's entries can be thousands of bits long."""
+    code = 0
+    for i, f in column:
+        if col[i] <= color:
+            shift = place.get(i)
+            if shift is not None:
+                code += f << shift
+            elif i in lowest:
+                for shift in lowest[i]:
+                    code -= f << shift
+    return code
 
 
 def _witnesses(

@@ -114,6 +114,8 @@ class ColoredNetwork:
         """A declared ``num_colors`` is checked, then dropped."""
         n = obj["n"]
         types = obj.get("cell_types")
+        if types is not None and not (isinstance(types, list) and types):
+            raise ValueError(f"cell_types must be a list of n cell types, not {types!r}")
         cell_types = None if types is None else Partition([_index(c) for c in types])
         arrows = [(a["from"], a["to"], a.get("color", 1)) for a in obj["arrows"]]
         net = cls(n, arrows, cell_types=cell_types)

@@ -150,6 +150,13 @@ def _base(matrices: list) -> int:
     return 2 * max(sum(abs(x) for _, x in row) for m in matrices for row in m) + 1
 
 
+def _code_bits(table: Sequence) -> int:
+    """The least b > 0 with 2**b > 2R for the largest absolute row sum R of
+    the sparse rows ``table``: every in-weight a row gives is below
+    2**b / 2 in absolute value, as :func:`_digits` needs of base 2**b."""
+    return _base([table]).bit_length()
+
+
 def _digits(matrices: list, shift: int) -> list:
     """The sparse rows of sum_l shift**l * M_l for the integer matrices
     M_0, M_1, ..., given as sparse rows: row i lists the ``(j, x)`` with
@@ -173,6 +180,16 @@ def _digits(matrices: list, shift: int) -> list:
       An F-weight sum_{j in S} F_ij has the in-weights under each power as
       its base-K digits, so equal F-weights mean equal in-weights under
       every power.
+    * The second stage of :mod:`synclat.lattice`'s filter takes base
+      2**b for b = :func:`_code_bits` of F.  In each class Y it checks,
+      every member after the smallest has its own power of 2**b and Y's
+      smallest member minus their sum (see
+      :func:`synclat.lattice._digit_places`).  The sum over S of the codes
+      is then A - A': A has the F-weights from S of Y's other members as
+      its digits, and A' has the F-weight from S of Y's smallest member in
+      each of those digits.  Every F-weight is below 2**b / 2 in absolute
+      value, so the sum is 0 exactly when every member of each Y gets the
+      F-weight of Y's smallest member.
     """
     rows = []
     for i in range(len(matrices[0])):

@@ -242,12 +242,6 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         ({"n": 3, "cell_types": [1, 1.5, 2], "arrows": arrow}, "1.5"),
         ({"n": True, "arrows": [{"from": 1, "to": 1}]}, "True"),
         ({"n": 2, "num_colors": True, "arrows": arrow}, "True"),
-        # a present cell_types is a list of labels, even when it is falsy
-        ({"n": 3, "cell_types": 0, "arrows": arrow}, "not iterable"),
-        ({"n": 3, "cell_types": False, "arrows": arrow}, "not iterable"),
-        ({"n": 3, "cell_types": {}, "arrows": arrow}, "empty set"),
-        ({"n": 3, "cell_types": [], "arrows": arrow}, "empty set"),
-        ({"n": 3, "cell_types": "", "arrows": arrow}, "empty set"),
     ):
         bad_network.write_text(json.dumps(obj))
         code, out, err = run(capsys, "balanced", "--network", str(bad_network))
@@ -270,6 +264,16 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         declared.write_text(json.dumps(obj))
         code, out, err = run(capsys, command, f"--{source}", str(declared))
         assert code == 2 and out == "" and shown in err
+
+
+@pytest.mark.parametrize("types", [0, True, False, [], {}, ""])
+def test_cell_types_must_be_a_list_of_labels(capsys, tmp_path, types):
+    # a present cell_types is a nonempty list of labels, even when it is falsy
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "cell_types": types, "arrows": [{"from": 1, "to": 2}]}))
+    code, out, err = run(capsys, "balanced", "--network", str(bad))
+    assert code == 2 and out == ""
+    assert "cell_types must be a list of n cell types" in err
 
 
 def test_network_reader_checks_declared_sizes(capsys, tmp_path):
@@ -641,6 +645,7 @@ FUZZ_SOURCES = {
     "k13.json": ("incidence",),
     "k6.json": ("adjacency",),
     "path4.json": ("matrices", "adjacency"),
+    "petersen.json": ("incidence",),
     "q8.json": ("group",),
     "rect.json": ("matrices",),
 }

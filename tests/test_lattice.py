@@ -1,6 +1,7 @@
 import multiprocessing
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +28,7 @@ from synclat import (
 )
 from synclat.lattice import _maxima, _run_task, _witnesses
 from synclat.partition import canonical_coloring
-from synclat.refine import _columns, _filter_table, _prepare, _start_state
+from synclat.refine import _code_bits, _columns, _filter_table, _prepare, _start_state
 from conftest import FIG1_BARS, bar
 from test_tactical import rand_rect_family
 from test_witness import earlier_weights, planted_family, symmetric_circulant_family
@@ -348,9 +349,10 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     engine = MatrixFamily([graph]).engine()
     table = _filter_table(engine, [1] * graph.rows)
     back = _columns(table, len(table))
+    bits = _code_bits(table)
     element = Partition.from_bar(top, graph.rows).coloring
     plain = []
-    want = _run_task(engine, table, back, set(), {}, element, plain.append)
+    want = _run_task(engine, table, back, bits, set(), {}, element, plain.append)
     refined = len(split_passes)
     assert refined > 0
     # known colorings that no split starts from change nothing, as a set or
@@ -358,7 +360,7 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     for known in ({element}, {element: element}):
         split_passes.clear()
         steps = []
-        got = _run_task(engine, table, back, known, {}, element, steps.append)
+        got = _run_task(engine, table, back, bits, known, {}, element, steps.append)
         assert (got, steps, len(split_passes)) == (want, plain, refined)
     # a split whose start is a known fixpoint is answered by the lookup; had
     # it been refined, it would have made one report and, with fewer than n
@@ -368,12 +370,128 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     assert answered and (len(answered) == want[1]) == all_known
     split_passes.clear()
     steps = []
-    got = _run_task(engine, table, back, known, {}, element, steps.append)
+    got = _run_task(engine, table, back, bits, known, {}, element, steps.append)
     assert got == want
     assert len(steps) == len(plain) - len(answered)
     assert len(split_passes) == refined - sum(max(s) < len(s) for s in answered)
     if all_known:
         assert (steps, split_passes) == ([], [])
+
+
+def weighted_cycle_family(rng, n):
+    """{a·A + b·I, c·(2I - A)} for a shuffled C_n, with two-digit
+    numerators over 7, 5 and 3 (the shape of the bench's weighted family)."""
+
+    def value(denominator):
+        p = rng.choice([p for p in range(10, 100) if p % denominator])
+        return Fraction(rng.choice((-p, p)), denominator)
+
+    perm = list(range(n))
+    rng.shuffle(perm)
+    a, b, c = value(7), value(5), value(3)
+    first = [[0] * n for _ in range(n)]
+    second = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            adjacent = int((i - j) % n in (1, n - 1))
+            first[perm[i]][perm[j]] = a * adjacent + b * (i == j)
+            second[perm[i]][perm[j]] = c * (2 * (i == j) - adjacent)
+    return MatrixFamily([first, second])
+
+
+def random_coloring(rng, sizes):
+    """A canonical coloring whose blocks of ``sizes`` members each get
+    their own random labels, so no class straddles two blocks."""
+    labels = []
+    for offset, size in enumerate(sizes):
+        labels += [(offset, rng.randint(1, 3)) for _ in range(size)]
+    return canonical_coloring(labels)
+
+
+def assert_second_stage_is_exact(engine, table, colorings):
+    """``_run_task`` refines exactly the splits of :func:`split_starts`,
+    whose witness gives one F-weight to every member of each earlier class
+    by ``earlier_weights``.  Returns the number of splits the second stage
+    decides and, among those it passes, how many pass a class whose
+    members' rows of F differ on S."""
+    back = _columns(table, len(table))
+    bits = _code_bits(table)
+    checks = cancelled = 0
+    for coloring in colorings:
+        col, classes = _start_state(coloring)
+        for color, members in enumerate(classes):
+            earlier = [y for y in classes[:color] if len(y) > 1]
+            if len(members) < 2 or not earlier:
+                continue
+            for inside, _ in _witnesses(table, col, members, {}):
+                checks += 1
+                if all(len(w) == 1 for w in earlier_weights(table, earlier, len(earlier), inside)):
+                    cancelled += any(
+                        len({tuple(dict(table[i]).get(j, 0) for j in inside) for i in y}) > 1
+                        for y in earlier
+                    )
+        starts = split_starts(coloring, table)
+        reports = []
+        _, examined, _ = _run_task(engine, table, back, bits, set(), {}, coloring, reports.append)
+        assert examined == len(starts)
+        assert set(starts) <= set(reports)
+    return checks, cancelled
+
+
+def test_second_stage_is_exact_at_its_edges():
+    rng = random.Random(31)
+    # the bench's weighted shape: F's entries pass 1,000 bits
+    for n, entry_bits in ((15, 1000), (9, 500)):
+        family = weighted_cycle_family(rng, n)
+        engine = family.engine()
+        table = _filter_table(engine, [1] * n)
+        assert max(abs(f).bit_length() for row in table for _, f in row) > entry_bits
+        colorings = [e.coloring for e in invariant_lattice(family).elements]
+        colorings += [random_coloring(rng, [n]) for _ in range(10)]
+        checks, _ = assert_second_stage_is_exact(engine, table, colorings)
+        assert checks > 20
+    # signed families, whose rows of F can differ on S and still give each
+    # member one F-weight; and rectangular families on the block engine
+    checks = cancelled = 0
+    for trial in range(60):
+        n = rng.randint(4, 8)
+        if trial % 3 == 2:
+            m = rng.randint(2, 5)
+            family = rand_rect_family(rng, m, n)
+            sizes, search = [m, n], tactical_lattice
+            engine = family.block_engine()
+        else:
+            family = (planted_family, symmetric_circulant_family)[trial % 3](rng, n)
+            sizes, search = [family.cols], invariant_lattice
+            engine = family.engine()
+        # the table of the search, from the one-class or {rows | columns} start
+        table = _filter_table(engine, [k for k, size in enumerate(sizes, 1) for _ in range(size)])
+        colorings = [
+            e.joined() if isinstance(e, PartitionPair) else e.coloring
+            for e in search(family).elements
+        ]
+        colorings += [random_coloring(rng, sizes) for _ in range(8)]
+        got = assert_second_stage_is_exact(engine, table, colorings)
+        checks += got[0]
+        cancelled += got[1]
+    assert checks > 1000 and cancelled > 40
+    # W maps the columns 3, 4, 5 to the rows 0, 1, 2, so W² = 0 and F = W,
+    # with largest absolute row sum R = 3 and digits 3 bits wide.  From
+    # S = {3, 4} the earlier class {0, 1, 2} gets -2, 2, -3; digits 2 bits
+    # wide would add 4 - 1·4 = 0.  From S = {2, 3} the class {0, 1} of the
+    # second family gets -3 and 3, which differ by 2R
+    for grid, coloring in (
+        ([[0, 0, 0, -1, -1, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, -2, -1, 0]] + [[0] * 6] * 3,
+         (1, 1, 1, 2, 2, 2)),
+        ([[0, 0, -1, -2, 0], [0, 0, 1, 2, 0]] + [[0] * 5] * 3, (1, 1, 2, 2, 2)),
+    ):
+        engine = MatrixFamily([grid]).engine()
+        table = _filter_table(engine, [1] * len(grid))
+        assert [list(row) for row in table] == [
+            [(j, x) for j, x in enumerate(row) if x] for row in grid
+        ]
+        assert assert_second_stage_is_exact(engine, table, [coloring]) == (3, 0)
+        assert _code_bits(table) == 3
 
 
 def test_every_coloring_the_refinement_hands_out_is_canonical():
@@ -407,10 +525,11 @@ def test_every_coloring_the_refinement_hands_out_is_canonical():
         engine, _, _ = _prepare(fam, lattice.elements[0])
         table = _filter_table(engine, [1] * len(engine[0]))
         back = _columns(table, len(table))
+        bits = _code_bits(table)
         for element in lattice.elements:
             _, coloring, _ = _prepare(fam, element)
             reports = []
-            found, _, _ = _run_task(engine, table, back, set(), {}, coloring, reports.append)
+            found, _, _ = _run_task(engine, table, back, bits, set(), {}, coloring, reports.append)
             # each split is reported from its own start, numbered canonically
             assert set(split_starts(coloring, table)) <= set(reports)
             for handed_out in [*reports, *found]:

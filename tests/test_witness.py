@@ -37,7 +37,7 @@ from synclat import (
 from synclat.lattice import _invariant_below, _run_task, _witnesses
 from synclat.networks import network_from_adjacencies
 from synclat.partition import _class_splits, canonical_coloring, iter_cover_colorings
-from synclat.refine import _columns, _filter_table, _pack, _square_fixpoint, _start_state
+from synclat.refine import _code_bits, _columns, _filter_table, _pack, _square_fixpoint, _start_state
 from test_tactical import petersen_incidence, rand_rect_family
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -309,10 +309,11 @@ def test_each_fixpoint_is_kept_from_one_split():
             engine, [1] * family.rows + [2] * family.cols if tactical else [1] * family.cols
         )
         back = _columns(table, len(table))
+        bits = _code_bits(table)
         for element in lat.elements:
             # with nothing known, no split is answered by lookup
             start = element.joined() if tactical else element.coloring
-            found, examined, _ = _run_task(engine, table, back, set(), {}, start)
+            found, examined, _ = _run_task(engine, table, back, bits, set(), {}, start)
             assert len(found) == len(set(found))
             refined += examined
     assert refined > 4000
@@ -403,6 +404,7 @@ def test_rejected_splits_are_ones_the_guard_drops():
             engine, [1] * family.rows + [2] * family.cols if tactical else [1] * family.cols
         )
         back = _columns(table, len(table))
+        bits = _code_bits(table)
         for element in search(family).elements:
             start = element.joined() if tactical else element.coloring
             col, classes = _start_state(start)
@@ -419,7 +421,7 @@ def test_rejected_splits_are_ones_the_guard_drops():
                     split_col, split_classes = _start_state(canonical_coloring(labels))
                     assert _square_fixpoint(engine, split_col, split_classes, witness=members[0]) is None
                     rejected += 1
-            _, examined, _ = _run_task(engine, table, back, set(), {}, start)
+            _, examined, _ = _run_task(engine, table, back, bits, set(), {}, start)
             assert examined == passed
     assert rejected > 3000
 
