@@ -56,12 +56,12 @@ give one:
   member of Y gets the same F-weight sum_{j in S} F_yj from S.  A second
   stage checks that on every earlier class with two or more members, as
   one exact sum of per-member codes: each member j of X has the code d_j =
-  sum_i F_ij·c_i over F's column j (:func:`synclat.refine._columns`), where
-  each member of Y after the smallest has its own digit c_i, a power of
-  2**b, and Y's smallest member minus their sum, and S passes exactly when
-  sum_{j in S} d_j = 0.  The width b of the digits keeps them exact (see
-  :func:`synclat.refine._digits`).  Only splits that pass both stages are
-  refined.
+  sum_i F_ij·c_i over F's column j (:func:`synclat.refine._filter_table`),
+  where each member of Y after the smallest has its own digit c_i, a power
+  of 2**b, and Y's smallest member minus their sum, and S passes exactly
+  when sum_{j in S} d_j = 0.  The width b of the digits keeps them exact
+  (see :func:`synclat.refine._digits`).  Only splits that pass both stages
+  are refined.
 * Guard.  Every step P of the refinement chain from Q satisfies
   L <= P <= Q, so S and every class of E before X stay whole in every step.
   A chain whose step splits S or a class of E before X is abandoned and its
@@ -118,8 +118,6 @@ from .partition import Partition, PartitionPair, _bars, _class_splits, _refines
 from .refine import (
     Element,
     MatrixFamily,
-    _code_bits,
-    _columns,
     _filter_table,
     _prepare,
     _square_fixpoint,
@@ -259,43 +257,24 @@ def _invariant_below(
     family: MatrixFamily, top: Element, *, element_cap: int = 10**6, workers: int = 1
 ) -> InvariantLattice:
     """The invariant partitions (tactical pairs, for a pair ``top``) that
-    refine ``top``, found by the search from cir(top); the element cap and
-    the stats count only that down-set.
+    refine ``top``, found by split and cir from cir(top) on the engine and
+    canonical start coloring of :func:`synclat.refine._prepare`; the
+    element cap and the stats count only that down-set.
 
     Every front end reaches this function.  ``workers`` must be at least 1
     and otherwise changes nothing: the search runs in this process.  The
     keyword stays only because ``bench/run.py`` passes it, and goes once the
     benchmark stops passing it.
+
+    The elements are expanded one at a time in order of discovery, so each
+    task looks up every element found before it and each element's lower
+    covers are the maxima of its kept fixpoints.  The elements come out
+    sorted by coloring, with the cover edges as sorted (coarser, finer)
+    index pairs into them.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     engine, start, decode = _prepare(family, top)
-    found, stats, edges = _search(engine, start, element_cap=element_cap)
-    return InvariantLattice(tuple(map(decode, found)), edges, stats)
-
-
-def tactical_lattice(family: MatrixFamily, **kwargs) -> InvariantLattice:
-    """All tactical decompositions of a (possibly rectangular) family.
-
-    The search of :func:`invariant_lattice` on the block family
-    [[0, M_l], [M_l^T, 0]] from the split {rows | columns}, with the same
-    keywords.  The pair of all-singletons partitions is always tactical, so
-    the lattice is never empty.
-    """
-    return _invariant_below(
-        family, PartitionPair.singleton(family.rows, family.cols), **kwargs
-    )
-
-
-def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
-    """Split and cir from cir(start), for a canonical start coloring; returns
-    the sorted canonical colorings of the elements, the stats and the cover
-    edges as sorted (coarser, finer) index pairs into the elements.
-
-    The elements are expanded one at a time in order of discovery, so each
-    task looks up every element found before it and each element's lower
-    covers are the maxima of its kept fixpoints.
-    """
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
     # the canonical colorings that refinements report; colors are bounded by
@@ -308,21 +287,19 @@ def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
         if len(visited) <= cap:
             visited.add(bytes(coloring) if compact else coloring)
 
-    top = _square_fixpoint(engine, *_start_state(start), on_step)
+    first = _square_fixpoint(engine, *_start_state(start), on_step)
     # the elements in order of discovery; the queue is the part after the
     # element being expanded, and seen maps each element to its index here
-    order = [top]
-    seen = {top: 0}
+    order = [first]
+    seen = {first: 0}
     covers = []  # (coarser, finer) discovery indices
     splits = pruned = 0
-    table = _filter_table(engine, start)
-    back = _columns(table, len(table))
-    bits = _code_bits(table)
+    split_filter = _filter_table(engine, start)
     uniform: dict = {}
     queue_peak = 1
     for e, element in enumerate(order):
         found, examined, skipped = _run_task(
-            engine, table, back, bits, seen, uniform, element, on_step
+            engine, split_filter, seen, uniform, element, on_step
         )
         splits += examined
         pruned += skipped
@@ -349,7 +326,20 @@ def _search(engine: tuple, start: tuple, *, element_cap: int = 10**6) -> tuple:
     for r, e in enumerate(ranked):
         rank[e] = r
     edges = tuple(sorted([(rank[coarse], rank[fine]) for coarse, fine in covers]))
-    return [order[e] for e in ranked], stats, edges
+    return InvariantLattice(tuple(decode(order[e]) for e in ranked), edges, stats)
+
+
+def tactical_lattice(family: MatrixFamily, **kwargs) -> InvariantLattice:
+    """All tactical decompositions of a (possibly rectangular) family.
+
+    The search of :func:`invariant_lattice` on the block family
+    [[0, M_l], [M_l^T, 0]] from the split {rows | columns}, with the same
+    keywords.  The pair of all-singletons partitions is always tactical, so
+    the lattice is never empty.
+    """
+    return _invariant_below(
+        family, PartitionPair.singleton(family.rows, family.cols), **kwargs
+    )
 
 
 def _maxima(candidates: list) -> list:
@@ -372,20 +362,19 @@ def _maxima(candidates: list) -> list:
 
 def _run_task(
     engine: tuple,
-    table: tuple,
-    back: list,
-    bits: int,
+    split_filter: tuple,
     known: Container[tuple],
     uniform: dict,
     element: tuple,
     on_step: Optional[Callable[[tuple], None]] = None,
 ) -> tuple:
     """Refine the splits of one element that pass both stages of the
-    filter: S on F's rows ``table`` (see :func:`_witnesses`, which reads
-    and fills the memo ``uniform``), then the earlier classes on F's
-    columns ``back``.  Returns the fixpoints of the chains that the guard
-    kept, in order, the number of splits refined and the number the two
-    stages skipped.
+    filter ``(table, back, bits)`` of :func:`synclat.refine._filter_table`:
+    S on F's rows ``table`` (see :func:`_witnesses`, which reads and fills
+    the memo ``uniform``), then the earlier classes on F's columns
+    ``back``.  Returns the fixpoints of the chains that the guard kept, in
+    order, the number of splits refined and the number the two stages
+    skipped.
 
     A split keeps the witness S, which holds X's smallest member, in the
     place of its class X and puts X minus S among the classes by smallest
@@ -400,6 +389,7 @@ def _run_task(
     digits ``bits`` wide of :func:`_digit_places`, and the split passes
     exactly when sum_{j in S} d_j is 0 (see :func:`synclat.refine._digits`).
     """
+    table, back, bits = split_filter
     col, classes = _start_state(element)
     smallest = [members[0] for members in classes]
     bases: dict = {}  # at -> col with the colors above at moved one up

@@ -150,13 +150,6 @@ def _base(matrices: list) -> int:
     return 2 * max(sum(abs(x) for _, x in row) for m in matrices for row in m) + 1
 
 
-def _code_bits(table: Sequence) -> int:
-    """The least b > 0 with 2**b > 2R for the largest absolute row sum R of
-    the sparse rows ``table``: every in-weight a row gives is below
-    2**b / 2 in absolute value, as :func:`_digits` needs of base 2**b."""
-    return _base([table]).bit_length()
-
-
 def _digits(matrices: list, shift: int) -> list:
     """The sparse rows of sum_l shift**l * M_l for the integer matrices
     M_0, M_1, ..., given as sparse rows: row i lists the ``(j, x)`` with
@@ -181,7 +174,7 @@ def _digits(matrices: list, shift: int) -> list:
       its base-K digits, so equal F-weights mean equal in-weights under
       every power.
     * The second stage of :mod:`synclat.lattice`'s filter takes base
-      2**b for b = :func:`_code_bits` of F.  In each class Y it checks,
+      2**b for the b of :func:`_filter_table`.  In each class Y it checks,
       every member after the smallest has its own power of 2**b and Y's
       smallest member minus their sum (see
       :func:`synclat.lattice._digit_places`).  The sum over S of the codes
@@ -236,9 +229,13 @@ def _pack(matrices: list, n: int) -> tuple:
 
 
 def _filter_table(engine: tuple, start: Sequence[int]) -> tuple:
-    """The rows of F = W + K·W² + K²·W³ for the packed weights W of the
-    engine, each row the ``(j, F_ij)`` with F_ij != 0 in order of j;
-    :mod:`synclat.lattice` filters splits with it.
+    """The filter ``(rows, columns, bits)`` with which :mod:`synclat.lattice`
+    filters splits, for F = W + K·W² + K²·W³ and the packed weights W of
+    the engine.  ``rows[i]`` lists the ``(j, F_ij)`` with F_ij != 0 in
+    order of j, and ``columns[j]`` the ``(i, F_ij)`` in order of i (see
+    :func:`_columns`).  ``bits`` is the least b > 0 with 2**b > 2R for the
+    largest absolute row sum R of F: every in-weight a row gives is below
+    2**b / 2 in absolute value, as :func:`_digits` needs of base 2**b.
 
     W³ is taken only if it has an entry (i, j) != 0 with
     ``start[i] == start[j]``: each class that the search splits lies inside
@@ -264,7 +261,8 @@ def _filter_table(engine: tuple, start: Sequence[int]) -> tuple:
         powers.append(power)
     if not any(start[i] == start[j] for i, row in enumerate(powers[2]) for j, _ in row):
         powers.pop()
-    return tuple(_digits(powers, _base(powers[:-1])))
+    table = tuple(_digits(powers, _base(powers[:-1])))
+    return table, _columns(table, len(table)), _base([table]).bit_length()
 
 
 def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:

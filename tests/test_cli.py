@@ -264,6 +264,29 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         declared.write_text(json.dumps(obj))
         code, out, err = run(capsys, command, f"--{source}", str(declared))
         assert code == 2 and out == "" and shown in err
+    # entries, arrows, adjacencies, group tables and starts that each
+    # reader rejects
+    arrow = {"from": 1, "to": 2}
+    for command, source, obj, shown in (
+        ("lattice", "matrices", {"entries": [[True, 0], [0, 1]]}, "boolean is not a matrix entry"),
+        ("lattice", "matrices", {"entries": [["1/0", 0], [0, 1]]}, "zero denominator"),
+        ("lattice", "matrices", {"matrices": [{"rows": 2}]}, "'entries' field"),
+        ("balanced", "network", {"n": 3, "arrows": [{"from": 4, "to": 1}]}, "out of cell range"),
+        ("balanced", "network", {"n": 3, "arrows": [{"from": 0, "to": 2}]}, "out of cell range"),
+        ("balanced", "network", {"n": 3, "arrows": [dict(arrow, color=0)]}, "must be positive"),
+        ("balanced", "network", {"n": 3, "arrows": [dict(arrow, color=-3)]}, "must be positive"),
+        ("equitable", "adjacency", {"entries": [[0, 1, 0], [1, 0, 1]]}, "must be square"),
+        ("cayley", "group", {"table": [[1, 3, 2], [3, 2, 1], [2, 1, 3]], "generators": [1]},
+         "no identity"),
+        ("cayley", "group", {"table": [[1, 2], [2, 1]], "generators": [3]}, "out of range"),
+    ):
+        declared.write_text(json.dumps(obj))
+        code, out, err = run(capsys, command, f"--{source}", str(declared))
+        assert code == 2 and out == "" and shown in err
+    code, out, err = run(
+        capsys, "cir", "--matrices", path("cipnet.json"), "--start", "1a|2345"
+    )
+    assert code == 2 and out == "" and "bad element" in err
 
 
 @pytest.mark.parametrize("types", [0, True, False, [], {}, ""])
@@ -425,6 +448,18 @@ def test_exit_code_4_on_verify_mismatch(capsys, tmp_path, monkeypatch):
     assert code == 4
     assert "MISMATCH" in err
     assert out.splitlines()[0] == "12345"  # artifact still emitted, unchanged
+    # an oracle that knows only the discrete partition puts cir(14|235) there
+    monkeypatch.setattr(
+        cli, "brute_invariant_set", lambda fam: {Partition.discrete(fam.cols)}
+    )
+    code, _, err = run(
+        capsys, "cir", "--matrices", path("cipnet.json"), "--start", "14|235", "--verify"
+    )
+    assert code == 4 and "verify MISMATCH (cir)" in err
+    # a group whose subgroups the oracle cannot find
+    monkeypatch.setattr(cli, "subgroup_coset_partitions", lambda group: set())
+    code, _, err = run(capsys, "cayley", "--group", path("q8.json"), "--verify")
+    assert code == 4 and "verify MISMATCH (coset partitions)" in err
 
 
 def test_verify_checks_cover_edges(capsys, monkeypatch):

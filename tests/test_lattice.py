@@ -28,7 +28,7 @@ from synclat import (
 )
 from synclat.lattice import _maxima, _run_task, _witnesses
 from synclat.partition import canonical_coloring
-from synclat.refine import _code_bits, _columns, _filter_table, _prepare, _start_state
+from synclat.refine import _filter_table, _prepare, _start_state
 from conftest import FIG1_BARS, bar
 from test_tactical import rand_rect_family
 from test_witness import earlier_weights, planted_family, symmetric_circulant_family
@@ -347,12 +347,11 @@ def split_starts(element, table):
 )
 def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_known):
     engine = MatrixFamily([graph]).engine()
-    table = _filter_table(engine, [1] * graph.rows)
-    back = _columns(table, len(table))
-    bits = _code_bits(table)
+    split_filter = _filter_table(engine, [1] * graph.rows)
+    table = split_filter[0]
     element = Partition.from_bar(top, graph.rows).coloring
     plain = []
-    want = _run_task(engine, table, back, bits, set(), {}, element, plain.append)
+    want = _run_task(engine, split_filter, set(), {}, element, plain.append)
     refined = len(split_passes)
     assert refined > 0
     # known colorings that no split starts from change nothing, as a set or
@@ -360,7 +359,7 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     for known in ({element}, {element: element}):
         split_passes.clear()
         steps = []
-        got = _run_task(engine, table, back, bits, known, {}, element, steps.append)
+        got = _run_task(engine, split_filter, known, {}, element, steps.append)
         assert (got, steps, len(split_passes)) == (want, plain, refined)
     # a split whose start is a known fixpoint is answered by the lookup; had
     # it been refined, it would have made one report and, with fewer than n
@@ -370,7 +369,7 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     assert answered and (len(answered) == want[1]) == all_known
     split_passes.clear()
     steps = []
-    got = _run_task(engine, table, back, bits, known, {}, element, steps.append)
+    got = _run_task(engine, split_filter, known, {}, element, steps.append)
     assert got == want
     assert len(steps) == len(plain) - len(answered)
     assert len(split_passes) == refined - sum(max(s) < len(s) for s in answered)
@@ -408,14 +407,14 @@ def random_coloring(rng, sizes):
     return canonical_coloring(labels)
 
 
-def assert_second_stage_is_exact(engine, table, colorings):
+def assert_second_stage_is_exact(engine, split_filter, colorings):
     """``_run_task`` refines exactly the splits of :func:`split_starts`,
     whose witness gives one F-weight to every member of each earlier class
-    by ``earlier_weights``.  Returns the number of splits the second stage
+    by ``earlier_weights``, for the filter ``split_filter`` of
+    ``_filter_table``.  Returns the number of splits the second stage
     decides and, among those it passes, how many pass a class whose
     members' rows of F differ on S."""
-    back = _columns(table, len(table))
-    bits = _code_bits(table)
+    table = split_filter[0]
     checks = cancelled = 0
     for coloring in colorings:
         col, classes = _start_state(coloring)
@@ -432,7 +431,7 @@ def assert_second_stage_is_exact(engine, table, colorings):
                     )
         starts = split_starts(coloring, table)
         reports = []
-        _, examined, _ = _run_task(engine, table, back, bits, set(), {}, coloring, reports.append)
+        _, examined, _ = _run_task(engine, split_filter, set(), {}, coloring, reports.append)
         assert examined == len(starts)
         assert set(starts) <= set(reports)
     return checks, cancelled
@@ -444,11 +443,12 @@ def test_second_stage_is_exact_at_its_edges():
     for n, entry_bits in ((15, 1000), (9, 500)):
         family = weighted_cycle_family(rng, n)
         engine = family.engine()
-        table = _filter_table(engine, [1] * n)
+        split_filter = _filter_table(engine, [1] * n)
+        table = split_filter[0]
         assert max(abs(f).bit_length() for row in table for _, f in row) > entry_bits
         colorings = [e.coloring for e in invariant_lattice(family).elements]
         colorings += [random_coloring(rng, [n]) for _ in range(10)]
-        checks, _ = assert_second_stage_is_exact(engine, table, colorings)
+        checks, _ = assert_second_stage_is_exact(engine, split_filter, colorings)
         assert checks > 20
     # signed families, whose rows of F can differ on S and still give each
     # member one F-weight; and rectangular families on the block engine
@@ -465,13 +465,15 @@ def test_second_stage_is_exact_at_its_edges():
             sizes, search = [family.cols], invariant_lattice
             engine = family.engine()
         # the table of the search, from the one-class or {rows | columns} start
-        table = _filter_table(engine, [k for k, size in enumerate(sizes, 1) for _ in range(size)])
+        split_filter = _filter_table(
+            engine, [k for k, size in enumerate(sizes, 1) for _ in range(size)]
+        )
         colorings = [
             e.joined() if isinstance(e, PartitionPair) else e.coloring
             for e in search(family).elements
         ]
         colorings += [random_coloring(rng, sizes) for _ in range(8)]
-        got = assert_second_stage_is_exact(engine, table, colorings)
+        got = assert_second_stage_is_exact(engine, split_filter, colorings)
         checks += got[0]
         cancelled += got[1]
     assert checks > 1000 and cancelled > 40
@@ -486,12 +488,13 @@ def test_second_stage_is_exact_at_its_edges():
         ([[0, 0, -1, -2, 0], [0, 0, 1, 2, 0]] + [[0] * 5] * 3, (1, 1, 2, 2, 2)),
     ):
         engine = MatrixFamily([grid]).engine()
-        table = _filter_table(engine, [1] * len(grid))
+        split_filter = _filter_table(engine, [1] * len(grid))
+        table, _, bits = split_filter
         assert [list(row) for row in table] == [
             [(j, x) for j, x in enumerate(row) if x] for row in grid
         ]
-        assert assert_second_stage_is_exact(engine, table, [coloring]) == (3, 0)
-        assert _code_bits(table) == 3
+        assert assert_second_stage_is_exact(engine, split_filter, [coloring]) == (3, 0)
+        assert bits == 3
 
 
 def test_every_coloring_the_refinement_hands_out_is_canonical():
@@ -523,13 +526,12 @@ def test_every_coloring_the_refinement_hands_out_is_canonical():
                 for part in parts:
                     assert part.coloring == canonical_coloring(part.coloring)
         engine, _, _ = _prepare(fam, lattice.elements[0])
-        table = _filter_table(engine, [1] * len(engine[0]))
-        back = _columns(table, len(table))
-        bits = _code_bits(table)
+        split_filter = _filter_table(engine, [1] * len(engine[0]))
+        table = split_filter[0]
         for element in lattice.elements:
             _, coloring, _ = _prepare(fam, element)
             reports = []
-            found, _, _ = _run_task(engine, table, back, bits, set(), {}, coloring, reports.append)
+            found, _, _ = _run_task(engine, split_filter, set(), {}, coloring, reports.append)
             # each split is reported from its own start, numbered canonically
             assert set(split_starts(coloring, table)) <= set(reports)
             for handed_out in [*reports, *found]:

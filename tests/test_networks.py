@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -578,6 +580,15 @@ def test_group_json_round_trip():
     obj = q8.to_json_dict()
     obj["table"] = [[x + 1 for x in row] for row in obj["table"]]
     assert GroupTable.from_json_dict(obj).table == q8.table
+
+
+def test_incidence_json_round_trip():
+    path = os.path.join(os.path.dirname(__file__), "data", "fano.json")
+    with open(path) as fh:
+        fano = IncidenceStructure.from_json_dict(json.load(fh))
+    obj = fano.to_json_dict()
+    assert (obj["points"], obj["lines"]) == (7, 7)
+    assert IncidenceStructure.from_json_dict(obj) == fano
 
 
 def test_network_json_round_trip(balex2_net):

@@ -362,7 +362,7 @@ def test_filter_table_encodes_each_power_exactly():
             sum(abs(c[i]) for c in cols) for cols in power_columns[: powers - 1]
             for i in range(n)
         ) + 1
-        table = _filter_table(engine, start)
+        table = _filter_table(engine, start)[0]
         for _ in range(6):
             inside = {j for j in range(n) if rng.random() < 0.5}
             weights = [[int(j in inside) for j in range(n)]]

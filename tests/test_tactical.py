@@ -270,7 +270,7 @@ def test_tactical_filter_table_leaves_out_w_cubed():
     for family in families:
         engine = family.block_engine()
         sides = [1] * family.rows + [2] * family.cols
-        assert _filter_table(engine, sides) == two_power_table(engine)
+        assert _filter_table(engine, sides)[0] == two_power_table(engine)
 
 
 def block_matrix(m):

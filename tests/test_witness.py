@@ -37,7 +37,7 @@ from synclat import (
 from synclat.lattice import _invariant_below, _run_task, _witnesses
 from synclat.networks import network_from_adjacencies
 from synclat.partition import _class_splits, canonical_coloring, iter_cover_colorings
-from synclat.refine import _code_bits, _columns, _filter_table, _pack, _square_fixpoint, _start_state
+from synclat.refine import _filter_table, _pack, _square_fixpoint, _start_state
 from test_tactical import petersen_incidence, rand_rect_family
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -255,7 +255,7 @@ def test_uniform_classes_prune_nothing():
 def test_uniform_splits_are_stored_from_the_second_visit():
     # every class of K_6 is uniform: the first visit streams its splits and
     # marks it, the second stores the list it yields
-    table = _filter_table(MatrixFamily([complete_graph(6)]).engine(), [1] * 6)
+    table = _filter_table(MatrixFamily([complete_graph(6)]).engine(), [1] * 6)[0]
     members = [0, 2, 3, 5]
     col = [1, 2, 1, 1, 3, 1]
     want = list(_class_splits(members))
@@ -304,16 +304,14 @@ def test_each_fixpoint_is_kept_from_one_split():
         lat = search(family)
         tactical = search is tactical_lattice
         engine = family.block_engine() if tactical else family.engine()
-        # the table of the search, from the one-class or {rows | columns} start
-        table = _filter_table(
+        # the filter of the search, from the one-class or {rows | columns} start
+        split_filter = _filter_table(
             engine, [1] * family.rows + [2] * family.cols if tactical else [1] * family.cols
         )
-        back = _columns(table, len(table))
-        bits = _code_bits(table)
         for element in lat.elements:
             # with nothing known, no split is answered by lookup
             start = element.joined() if tactical else element.coloring
-            found, examined, _ = _run_task(engine, table, back, bits, set(), {}, start)
+            found, examined, _ = _run_task(engine, split_filter, set(), {}, start)
             assert len(found) == len(set(found))
             refined += examined
     assert refined > 4000
@@ -331,7 +329,7 @@ def test_filter_passes_the_witness_of_every_brute_force_cover():
             symmetric_circulant_family(rng, rng.randint(4, 7)),
         ):
             elements = sorted(brute_invariant_set(family), key=lambda p: p.coloring)
-            table = _filter_table(family.engine(), [1] * family.cols)
+            table = _filter_table(family.engine(), [1] * family.cols)[0]
             for coarse, fine in hasse_edges(elements):
                 col, classes = _start_state(elements[coarse].coloring)
                 below = elements[fine].coloring
@@ -367,7 +365,7 @@ def test_earlier_classes_get_uniform_weight_from_every_cover_witness():
             symmetric_circulant_family(rng, rng.randint(4, 7)),
         ):
             elements = sorted(brute_invariant_set(family), key=lambda p: p.coloring)
-            table = _filter_table(family.engine(), [1] * family.cols)
+            table = _filter_table(family.engine(), [1] * family.cols)[0]
             for coarse, fine in hasse_edges(elements):
                 _, classes = _start_state(elements[coarse].coloring)
                 below = elements[fine].coloring
@@ -400,11 +398,10 @@ def test_rejected_splits_are_ones_the_guard_drops():
         tactical = search is tactical_lattice
         engine = family.block_engine() if tactical else family.engine()
         # the table of the search, from the one-class or {rows | columns} start
-        table = _filter_table(
+        split_filter = _filter_table(
             engine, [1] * family.rows + [2] * family.cols if tactical else [1] * family.cols
         )
-        back = _columns(table, len(table))
-        bits = _code_bits(table)
+        table = split_filter[0]
         for element in search(family).elements:
             start = element.joined() if tactical else element.coloring
             col, classes = _start_state(start)
@@ -421,7 +418,7 @@ def test_rejected_splits_are_ones_the_guard_drops():
                     split_col, split_classes = _start_state(canonical_coloring(labels))
                     assert _square_fixpoint(engine, split_col, split_classes, witness=members[0]) is None
                     rejected += 1
-            _, examined, _ = _run_task(engine, table, back, bits, set(), {}, start)
+            _, examined, _ = _run_task(engine, split_filter, set(), {}, start)
             assert examined == passed
     assert rejected > 3000
 
@@ -436,7 +433,7 @@ def test_large_classes_are_searched_without_recursion():
     assert cycle_engine(12) == MatrixFamily([cycle_graph(12)]).engine()
     # a search with one frame per member would run out of stack here
     for n in (1100, 3000):
-        table = _filter_table(cycle_engine(n), [1] * n)
+        table = _filter_table(cycle_engine(n), [1] * n)[0]
         members = list(range(n))
         splits = list(islice(_witnesses(table, [0] * n, members, {}), 5))
         assert len(splits) == 5
@@ -493,7 +490,7 @@ def test_witnesses_come_in_breadth_first_take_before_leave_order():
             planted_family(rng, rng.randint(3, 12)),
             symmetric_circulant_family(rng, rng.randint(4, 12)),
         ):
-            table = _filter_table(family.engine(), [1] * family.cols)
+            table = _filter_table(family.engine(), [1] * family.cols)[0]
             for element in invariant_lattice(family).elements:
                 col, classes = _start_state(element.coloring)
                 for members in classes:
