@@ -333,7 +333,10 @@ def main(argv=None) -> int:
     except ElementCapExceeded as exc:
         print(f"synclat: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except KeyError as exc:
+        print(f"synclat: missing key {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, TypeError, OSError) as exc:
         print(f"synclat: {exc}", file=sys.stderr)
         return 2
 

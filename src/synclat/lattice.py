@@ -65,7 +65,8 @@ give one:
 * Guard.  Every step P of the refinement chain from Q satisfies
   L <= P <= Q, so S and every class of E before X stay whole in every step.
   A chain whose step splits S or a class of E before X is abandoned and its
-  result dropped.
+  result dropped.  Those guarded classes come first in every state of the
+  chain, so the refinement pass stops at the first of them that splits.
 
 Nothing is lost.  Every lower cover of E is still found, from its own X and
 S, and every kept result is strictly below E and so below some lower cover;

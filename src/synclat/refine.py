@@ -30,8 +30,8 @@ scaled by the lcm of its denominators (M and cM have the same invariant
 partitions and tactical decompositions for c != 0), and the scaled matrices
 are packed into one integer weight per nonzero entry, so a row's signature
 against a coloring is a single exact integer key (see :func:`_digits`).
-Families whose packed weights are all 1 (plain adjacency matrices) key short
-rows without a loop.
+Families whose packed weights are all 1 (plain adjacency matrices) key
+two-entry rows without a loop.
 Classes are refined bucket-by-bucket, so elements already isolated in
 singleton classes cost nothing.  The working coloring is the canonical
 1-based one of :class:`Partition` throughout: each pass numbers the classes
@@ -265,7 +265,7 @@ def _filter_table(engine: tuple, start: Sequence[int]) -> tuple:
     return table, _columns(table, len(table)), _base([table]).bit_length()
 
 
-def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:
+def _split_pass(engine: tuple, classes: list, ncol: list, guard: int = 0) -> tuple:
     """One refinement pass: split every class by row key.
 
     ``ncol`` maps a matrix column index to its canonical 1-based color (the
@@ -274,46 +274,40 @@ def _split_pass(engine: tuple, classes: list, ncol: list) -> tuple:
     keys (see :func:`_pack`) are equal; the new classes are sorted, in order
     of their first member.  Returns ``(new_classes, changed)`` and mutates
     nothing, so every class is split against the same state.
+
+    The first ``guard`` classes are the guarded ones of
+    :func:`_square_fixpoint`: the pass stops at the first of them that
+    splits and returns ``(None, True)``.
     """
     rows, pw, ones = engine
     out = []
     changed = False
-    for members in classes:
+    for index, members in enumerate(classes):
         if len(members) < 2:
             out.append(members)
             continue
         buckets: dict = {}
-        if ones:
-            for i in members:
-                nb = rows[i]
-                ln = len(nb)
-                if ln == 2:
-                    key = pw[ncol[nb[0]]] + pw[ncol[nb[1]]]
-                elif ln == 1:
-                    key = pw[ncol[nb[0]]]
-                elif ln == 0:
-                    key = 0
-                else:
-                    key = 0
-                    for j in nb:
-                        key += pw[ncol[j]]
-                got = buckets.get(key)
-                if got is None:
-                    buckets[key] = [i]
-                else:
-                    got.append(i)
-        else:
-            for i in members:
+        for i in members:
+            row = rows[i]
+            if not ones:
                 key = 0
-                for j, w in rows[i]:
+                for j, w in row:
                     key += w * pw[ncol[j]]
-                got = buckets.get(key)
-                if got is None:
-                    buckets[key] = [i]
-                else:
-                    got.append(i)
+            elif len(row) == 2:
+                key = pw[ncol[row[0]]] + pw[ncol[row[1]]]
+            else:
+                key = 0
+                for j in row:
+                    key += pw[ncol[j]]
+            got = buckets.get(key)
+            if got is None:
+                buckets[key] = [i]
+            else:
+                got.append(i)
         if len(buckets) == 1:
             out.append(members)
+        elif index < guard:
+            return None, True
         else:
             changed = True
             out.extend(buckets.values())
@@ -346,33 +340,31 @@ def _square_fixpoint(
     last one is the result, so a start that the first pass leaves unchanged
     is returned as the tuple already reported.
 
-    ``witness`` is a member x0 of the start; once a step splits the class
-    of x0 or a class whose smallest member is below x0, the refinement
-    stops and returns None, and that step is not reported.  Those are the
-    start's first p = col[x0] classes.  Each of them has a part with its
-    smallest member in every step, so a step's first p classes are parts of
-    them, and they hold all the members of those classes exactly when the
-    step splits none of them.
+    ``witness`` is a member x0 of the start that is the smallest of its
+    class.  The guarded classes are the class of x0 and the classes whose
+    smallest members are below x0; the canonical ``col`` gives them the
+    colors 1..col[x0], and ``classes`` lists them first.  The pass stops at
+    the first of them that splits, and the refinement returns None without
+    reporting that step.  Every other class has its smallest member above
+    x0, so a step that splits no guarded class sorts them first again.
     """
     n = len(col)
-    if witness is not None:
-        p = col[witness]
-        whole = sum(len(members) for members in classes if members[0] <= witness)
+    guard = 0 if witness is None else col[witness]
     step = tuple(col)
     if on_step is not None:
         on_step(step)
     for _ in range(n + 1):
         if len(classes) == n:
             break
-        classes, changed = _split_pass(engine, classes, col)
+        classes, changed = _split_pass(engine, classes, col, guard)
         if not changed:
             break
+        if classes is None:
+            return None
         classes.sort()  # distinct smallest members decide the order
         for label, members in enumerate(classes, 1):
             for i in members:
                 col[i] = label
-        if witness is not None and sum(map(len, classes[:p])) < whole:
-            return None
         step = tuple(col)
         if on_step is not None:
             on_step(step)

@@ -287,6 +287,15 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         capsys, "cir", "--matrices", path("cipnet.json"), "--start", "1a|2345"
     )
     assert code == 2 and out == "" and "bad element" in err
+    # a missing JSON key is named as one
+    for command, source, obj, key in (
+        ("cayley", "group", {"order": 2}, "table"),
+        ("balanced", "network", {"n": 2}, "arrows"),
+        ("balanced", "network", {"n": 2, "arrows": [{"from": 1}]}, "to"),
+    ):
+        declared.write_text(json.dumps(obj))
+        code, out, err = run(capsys, command, f"--{source}", str(declared))
+        assert code == 2 and out == "" and f"synclat: missing key '{key}'" in err
 
 
 @pytest.mark.parametrize("types", [0, True, False, [], {}, ""])

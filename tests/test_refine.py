@@ -293,6 +293,66 @@ def test_row_keys_do_not_carry_between_digits():
     assert part not in brute_invariant_set(fam)
 
 
+def rand_zero_one(rng, m, n):
+    """An m x n 0/1 matrix whose rows have 0 to 5 entries each."""
+    out = []
+    for _ in range(m):
+        ones = set(rng.sample(range(n), min(n, rng.randint(0, 5))))
+        out.append([int(j in ones) for j in range(n)])
+    return out
+
+
+def test_guarded_pass_stops_where_a_guarded_class_splits():
+    # the first ``guard`` classes of a canonical state are guarded: the pass
+    # is the unguarded one while none of them splits, and (None, True) once
+    # one does
+    rng = random.Random(26)
+    engines = []
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        engines.append(rand_family(rng, n, rational=True).engine())
+        engines.append(MatrixFamily([rand_zero_one(rng, n, n)]).engine())
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        engines.append(rand_rect_family(rng, m, n).block_engine())
+        engines.append(MatrixFamily([rand_zero_one(rng, m, n)]).block_engine())
+    assert {engine[2] for engine in engines} == {True, False}
+    stopped = 0
+    for engine in engines:
+        n = len(engine[0])
+        for _ in range(5):
+            col, classes = _start_state(rand_partition(rng, n).coloring)
+            unguarded = _split_pass(engine, classes, col)
+            splits = [_split_pass(engine, [members], col)[1] for members in classes]
+            for guard in range(len(classes) + 1):
+                got = _split_pass(engine, classes, col, guard)
+                if any(splits[:guard]):
+                    assert got == (None, True)
+                    stopped += 1
+                else:
+                    assert got == unguarded
+    assert stopped > 100
+
+
+def test_all_ones_rows_key_like_general_rows():
+    # a 0/1 matrix packs as an all-ones engine, twice it as a general one;
+    # rows of every length from 0 to 5 split each state alike on both
+    rng = random.Random(27)
+    lengths = set()
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        matrix = rand_zero_one(rng, n, n)
+        lengths.update(sum(row) for row in matrix)
+        ones = MatrixFamily([matrix]).engine()
+        general = MatrixFamily([[[2 * x for x in row] for row in matrix]]).engine()
+        assert ones[2]
+        # a matrix without entries packs as all-ones either way
+        assert general[2] == (not any(map(any, matrix)))
+        for _ in range(5):
+            col, classes = _start_state(rand_partition(rng, n).coloring)
+            assert _split_pass(ones, classes, col) == _split_pass(general, classes, col)
+    assert lengths == set(range(6))
+
+
 def test_scaling_a_matrix_keeps_its_lattice():
     rng = random.Random(9)
     families = [MatrixFamily([[[1, 1, 0], [0, 1, 1], [1, 0, 1]]])]

@@ -220,6 +220,9 @@ def test_cycle_19_refines_few_splits():
     # the unpruned search refines every one-class split of every element
     assert stats.splits_examined + stats.splits_pruned == 262314
     assert stats.cir_calls == stats.splits_examined + 1
+    # the guard drops almost every chain here, and these counts hold only
+    # while a dropped chain reports no step past its last whole one
+    assert (stats.visited_partitions, stats.queue_peak) == (933, 19)
     two = invariant_lattice(MatrixFamily([cycle_graph(19)]), workers=2)
     assert (two.elements, two.cover_edges) == (lat.elements, lat.cover_edges)
     assert two.stats.splits_examined == stats.splits_examined
@@ -235,6 +238,7 @@ def test_cycle_28_lattice_and_its_refined_splits():
     assert len(lat) == sum(1 if d <= 2 else d + 1 for d in (1, 2, 4, 7, 14, 28)) == 59
     assert lat.cover_edges == tuple(hasse_edges(lat.elements))
     assert lat.stats.splits_examined == 3836
+    assert (lat.stats.visited_partitions, lat.stats.queue_peak) == (17595, 53)
 
 
 def test_uniform_classes_prune_nothing():
