@@ -23,8 +23,9 @@ the order of (row, column) pairs.
 
 The search runs in one process and expands the elements in order of
 discovery: its FIFO queue is the part of the discovery list after the
-element being expanded.  Covers are kept as pairs of discovery indices and
-mapped to sorted order once, at the end.
+element being expanded.  Each element's lower covers are kept as a list of
+discovery indices, and each list is ranked in sorted order once, at the
+end.
 
 Invariant partitions form a lattice but not a sublattice of the full
 partition lattice, so covers are not inherited from the ambient lattice.
@@ -71,11 +72,15 @@ give one:
 Nothing is lost.  Every lower cover of E is still found, from its own X and
 S, and every kept result is strictly below E and so below some lower cover;
 the lower covers of E are therefore exactly the maximal elements among its
-kept results.  A strictly finer partition has more classes, so when all
-kept results have one class count (as for every element of K_n) they are
-all maximal.  A kept result splits X and no class before it, and S is its
-class of x0, so it is kept from one split only and no two chains of E end
-in the same result (a canonical construction path, after McKay 1998).
+kept results.  A strictly finer partition has more classes, so a kept result
+with one class more than E is a lower cover with no check: so is every split
+that is already an element and every chain that ends at its start, with no
+strict step (on K_n, every kept result).  A result after a strict step has
+more classes still, and it is a lower cover exactly when it refines no kept
+result with fewer classes, the unchecked ones among them.  A kept result
+splits X and no class before it, and S is its class of x0, so it is kept
+from one split only and no two chains of E end in the same result (a
+canonical construction path, after McKay 1998).
 The argument of the second stage holds for any kept result in place of L,
 so that stage skips only splits whose chains the guard would drop.
 Every element is reached from the top through covers, so the elements are
@@ -113,7 +118,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Container, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .partition import Partition, PartitionPair, _bars, _class_splits, _refines
 from .refine import (
@@ -268,16 +273,17 @@ def _invariant_below(
     benchmark stops passing it.
 
     The elements are expanded one at a time in order of discovery, so each
-    task looks up every element found before it and each element's lower
-    covers are the maxima of its kept fixpoints.  The elements come out
-    sorted by coloring, with the cover edges as sorted (coarser, finer)
-    index pairs into them.
+    task looks up every element found before it, and each element's lower
+    covers are its kept results with one class more than it, unchecked, and
+    the maxima of the rest (see :func:`_run_task`), as discovery indices.
+    The elements come out sorted by coloring, with the cover edges as sorted
+    (coarser, finer) index pairs into them.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    engine, start, decode = _prepare(family, top)
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
+    engine, start, decode = _prepare(family, top)
     # the canonical colorings that refinements report; colors are bounded by
     # the ground-set size, so byte strings are a compact set key, and the set
     # stops growing one item past the cap
@@ -293,25 +299,24 @@ def _invariant_below(
     # element being expanded, and seen maps each element to its index here
     order = [first]
     seen = {first: 0}
-    covers = []  # (coarser, finer) discovery indices
+    lower = []  # lower[e]: the discovery indices of element e's lower covers
     splits = pruned = 0
     split_filter = _filter_table(engine, start)
     uniform: dict = {}
     queue_peak = 1
     for e, element in enumerate(order):
-        found, examined, skipped = _run_task(
+        _, fresh, covers, examined, skipped = _run_task(
             engine, split_filter, seen, uniform, element, on_step
         )
         splits += examined
         pruned += skipped
-        for fixpoint in found:
-            if fixpoint not in seen:
-                seen[fixpoint] = len(order)
-                order.append(fixpoint)
-                if len(order) > element_cap:
-                    raise ElementCapExceeded(len(order), element_cap)
+        for fixpoint in fresh:
+            seen[fixpoint] = len(order)
+            order.append(fixpoint)
+            if len(order) > element_cap:
+                raise ElementCapExceeded(len(order), element_cap)
         queue_peak = max(queue_peak, len(order) - 1 - e)
-        covers += [(e, seen[cover]) for cover in _maxima(found)]
+        lower.append(covers)
     stats = LatticeStats(
         cir_calls=1 + splits,
         splits_examined=splits,
@@ -321,12 +326,17 @@ def _invariant_below(
         visited_partitions=len(visited),
         visited_exact=len(visited) <= _VISITED_CAP,
     )
-    # rank[e]: the place of discovery index e in sorted order
+    # rank[e]: the place of discovery index e in sorted order; the edges come
+    # out sorted by coarser rank and, within one element, by finer rank
     ranked = sorted(range(len(order)), key=order.__getitem__)
     rank = [0] * len(order)
     for r, e in enumerate(ranked):
         rank[e] = r
-    edges = tuple(sorted([(rank[coarse], rank[fine]) for coarse, fine in covers]))
+    edges = tuple(
+        (r, fine)
+        for r, e in enumerate(ranked)
+        for fine in sorted(map(rank.__getitem__, lower[e]))
+    )
     return InvariantLattice(tuple(decode(order[e]) for e in ranked), edges, stats)
 
 
@@ -343,28 +353,23 @@ def tactical_lattice(family: MatrixFamily, **kwargs) -> InvariantLattice:
     )
 
 
-def _maxima(candidates: list) -> list:
-    """The canonical colorings among the candidates that refine no other
-    candidate.  A strictly finer element has strictly more classes (a
-    canonical coloring's largest color), so candidates with the fewest
-    classes are maxima, and each other candidate is compared only with the
-    maxima that have fewer classes than it; when all have one count, all
-    are maxima unchecked."""
-    counts = list(map(max, candidates))
-    if not counts or min(counts) == max(counts):
-        return candidates
-    maxima: list = []
-    ranked = sorted(zip(counts, candidates), key=itemgetter(0))
+def _maxima(coarsest: list, candidates: list) -> list:
+    """The canonical colorings among ``candidates`` that refine no other
+    candidate and no member of ``coarsest``: maxima, each with fewer classes
+    (a canonical coloring's largest color) than any candidate.  A strictly
+    finer element has strictly more classes, so each candidate is compared
+    only with the maxima of fewer classes."""
+    maxima = coarsest.copy()
+    ranked = sorted(zip(map(max, candidates), candidates), key=itemgetter(0))
     for _, group in groupby(ranked, itemgetter(0)):
-        coarser = maxima.copy()
-        maxima += [c for _, c in group if not any(_refines(c, m) for m in coarser)]
-    return maxima
+        maxima += [c for _, c in group if not any(_refines(c, m) for m in maxima)]
+    return maxima[len(coarsest):]
 
 
 def _run_task(
     engine: tuple,
     split_filter: tuple,
-    known: Container[tuple],
+    known: dict,
     uniform: dict,
     element: tuple,
     on_step: Optional[Callable[[tuple], None]] = None,
@@ -373,33 +378,44 @@ def _run_task(
     filter ``(table, back, bits)`` of :func:`synclat.refine._filter_table`:
     S on F's rows ``table`` (see :func:`_witnesses`, which reads and fills
     the memo ``uniform``), then the earlier classes on F's columns
-    ``back``.  Returns the fixpoints of the chains that the guard kept, in
-    order, the number of splits refined and the number the two stages
-    skipped.
+    ``back``.  ``known`` maps the elements found so far to their discovery
+    indices.  Returns the fixpoints of the chains that the guard kept, in
+    order; those not in ``known``, numbered ``len(known)`` on in order; the
+    discovery indices of the element's lower covers; the number of splits
+    refined; and the number the two stages skipped.
 
     A split keeps the witness S, which holds X's smallest member, in the
     place of its class X and puts X minus S among the classes by smallest
     member, so its start is canonical: the classes after X minus S move one
     color up, in a coloring built once per insertion point and copied for
-    each split.  A start in ``known`` (elements already found) is answered
-    by lookup, with no pass.  Any other split goes on only if every class
+    each split.  A start in ``known`` is answered with its index by one
+    lookup, with no pass.  Any other split goes on only if every class
     before X with two or more members gets one F-weight from S (a member
     with no entry gets 0); a split that fails could only start a chain that
     the guard drops.  That check is one exact sum: each member j of X has
     the code d_j of :func:`_member_code`, made at its first check with the
     digits ``bits`` wide of :func:`_digit_places`, and the split passes
     exactly when sum_{j in S} d_j is 0 (see :func:`synclat.refine._digits`).
+
+    A known start, and a chain with no strict step, keep a result with one
+    class more than the element: a lower cover, unchecked (see the module
+    docstring).  Only a result after a strict step is looked up again and
+    goes through :func:`_maxima`.
     """
     table, back, bits = split_filter
     col, classes = _start_state(element)
     smallest = [members[0] for members in classes]
     bases: dict = {}  # at -> col with the colors above at moved one up
     found = []  # distinct: each kept result names its own split
-    examined = 0
+    fresh = []  # the kept results not in known, numbered len(known) on
+    covers = []  # discovery indices of the results with one class more
+    stepped: dict = {}  # result after a strict step -> its discovery index
+    dropped = skipped = 0
     codes = None  # j -> d_j, from the element's first check of earlier classes
     for color, members in enumerate(classes):
         if len(members) < 2:
             continue
+        skipped += (1 << (len(members) - 1)) - 1
         for inside, outside in _witnesses(table, col, members, uniform):
             at = bisect(smallest, outside[0])
             base = bases.get(at)
@@ -409,9 +425,8 @@ def _run_task(
             for i in outside:
                 split_col[i] = at + 1
             start = tuple(split_col)
-            if start in known:
-                fixpoint = start
-            else:
+            index = known.get(start)
+            if index is None:
                 if color:
                     if codes is None:
                         codes = {}
@@ -430,11 +445,26 @@ def _run_task(
                 fixpoint = _square_fixpoint(
                     engine, split_col, split_classes, on_step, members[0]
                 )
-            examined += 1
-            if fixpoint is not None:
-                found.append(fixpoint)
-    skipped = sum((1 << (len(members) - 1)) - 1 for members in classes) - examined
-    return found, examined, skipped
+                if fixpoint is None:
+                    dropped += 1
+                    continue
+                if fixpoint != start:  # after a strict step
+                    index = known.get(fixpoint)
+                    if index is None:
+                        index = len(known) + len(fresh)
+                        fresh.append(fixpoint)
+                    found.append(fixpoint)
+                    stepped[fixpoint] = index
+                    continue
+                index = len(known) + len(fresh)
+                fresh.append(start)
+            found.append(start)
+            covers.append(index)
+    if stepped:
+        unchecked = [c for c in found if c not in stepped]
+        covers += [stepped[c] for c in _maxima(unchecked, list(stepped))]
+    examined = len(found) + dropped
+    return found, fresh, covers, examined, skipped - examined
 
 
 def _digit_places(classes: list, bits: int) -> tuple:

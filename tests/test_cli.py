@@ -443,7 +443,7 @@ def test_exit_code_2_on_cap_below_one(capsys, tmp_path):
         for cap in ("0", "-5"):
             code, out, err = run(capsys, *argv, "--cap", cap)
             assert code == 2 and out == ""
-            assert "element_cap" in err
+            assert err == "synclat: element_cap must be >= 1\n"
 
 
 def test_exit_code_4_on_verify_mismatch(capsys, tmp_path, monkeypatch):

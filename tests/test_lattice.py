@@ -243,6 +243,8 @@ def test_element_cap_below_one_is_rejected(cap, balex2_net):
     ):
         with pytest.raises(ValueError, match="element_cap"):
             compute(arg, element_cap=cap)
+    # the cap is checked before any work: no engine was built
+    assert diagonal._engine is None and diagonal._block is None
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -289,15 +291,31 @@ def test_complete_graph_k8_with_two_workers_matches_one():
     assert elapsed < 15.0
 
 
-def test_complete_graph_k7_refines_each_element_once(split_passes):
+def test_complete_graph_k7_refines_each_element_once(split_passes, monkeypatch):
     # every split of K_7 is invariant: the first split that reaches an
     # element takes one pass (the bottom none) and every later one is
     # answered from the elements already found
+    import synclat.lattice as lattice
+
+    refines = []
+    real = lattice._refines
+
+    def counted(fine, coarse):
+        refines.append(None)
+        return real(fine, coarse)
+
+    monkeypatch.setattr(lattice, "_refines", counted)
     fam = MatrixFamily([complete_graph(7)])
     inline = invariant_lattice(fam)
     assert len(split_passes) == 876
     assert len(inline) == bell_number(7) == 877
     assert len(inline.cover_edges) == 4802
+    # each kept result has one class more than its element, so it is a
+    # lower cover with no comparison; C_8's results after a strict step are
+    # compared
+    assert refines == []
+    invariant_lattice(MatrixFamily([cycle_graph(8)]))
+    assert refines
     stats = inline.stats
     assert (
         stats.cir_calls,
@@ -351,25 +369,26 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     table = split_filter[0]
     element = Partition.from_bar(top, graph.rows).coloring
     plain = []
-    want = _run_task(engine, split_filter, set(), {}, element, plain.append)
+    found, _, _, examined, skipped = _run_task(engine, split_filter, {}, {}, element, plain.append)
+    want = found, examined, skipped
     refined = len(split_passes)
     assert refined > 0
-    # known colorings that no split starts from change nothing, as a set or
-    # as the dict that the inline search passes
-    for known in ({element}, {element: element}):
-        split_passes.clear()
-        steps = []
-        got = _run_task(engine, split_filter, known, {}, element, steps.append)
-        assert (got, steps, len(split_passes)) == (want, plain, refined)
+    # a known coloring that no split starts from changes nothing
+    split_passes.clear()
+    steps = []
+    found, _, _, examined, skipped = _run_task(engine, split_filter, {element: 0}, {}, element, steps.append)
+    got = found, examined, skipped
+    assert (got, steps, len(split_passes)) == (want, plain, refined)
     # a split whose start is a known fixpoint is answered by the lookup; had
     # it been refined, it would have made one report and, with fewer than n
     # classes, one pass that changed nothing
-    known = set(want[0])
+    known = {coloring: index for index, coloring in enumerate(want[0])}
     answered = [start for start in split_starts(element, table) if start in known]
     assert answered and (len(answered) == want[1]) == all_known
     split_passes.clear()
     steps = []
-    got = _run_task(engine, split_filter, known, {}, element, steps.append)
+    found, _, _, examined, skipped = _run_task(engine, split_filter, known, {}, element, steps.append)
+    got = found, examined, skipped
     assert got == want
     assert len(steps) == len(plain) - len(answered)
     assert len(split_passes) == refined - sum(max(s) < len(s) for s in answered)
@@ -431,7 +450,7 @@ def assert_second_stage_is_exact(engine, split_filter, colorings):
                     )
         starts = split_starts(coloring, table)
         reports = []
-        _, examined, _ = _run_task(engine, split_filter, set(), {}, coloring, reports.append)
+        _, _, _, examined, _ = _run_task(engine, split_filter, {}, {}, coloring, reports.append)
         assert examined == len(starts)
         assert set(starts) <= set(reports)
     return checks, cancelled
@@ -531,7 +550,7 @@ def test_every_coloring_the_refinement_hands_out_is_canonical():
         for element in lattice.elements:
             _, coloring, _ = _prepare(fam, element)
             reports = []
-            found, _, _ = _run_task(engine, split_filter, set(), {}, coloring, reports.append)
+            found, _, _, _, _ = _run_task(engine, split_filter, {}, {}, coloring, reports.append)
             # each split is reported from its own start, numbered canonically
             assert set(split_starts(coloring, table)) <= set(reports)
             for handed_out in [*reports, *found]:
@@ -552,6 +571,34 @@ def below(fine, coarse):
     return all(len(c) == 1 for c in classes.values())
 
 
+def test_results_after_a_strict_step_are_checked_against_the_unchecked_covers():
+    # a kept result with one class more than its element is a lower cover
+    # unchecked; one after a strict step can lie strictly below such a
+    # cover, and is then none.  With nothing known, every kept result is
+    # fresh, and its discovery index is its place in found
+    rng = random.Random(1)
+    below_unchecked = 0
+    for _ in range(20):
+        family = symmetric_circulant_family(rng, rng.randint(4, 10))
+        lat = invariant_lattice(family)
+        assert list(lat.cover_edges) == hasse_edges(lat.elements)
+        finer = {}
+        for coarse, fine in lat.cover_edges:
+            finer.setdefault(coarse, []).append(lat.elements[fine].coloring)
+        engine = family.engine()
+        split_filter = _filter_table(engine, [1] * family.cols)
+        for e, element in enumerate(lat.elements):
+            found, fresh, covers, _, _ = _run_task(engine, split_filter, {}, {}, element.coloring)
+            assert fresh == found
+            assert sorted(found[k] for k in covers) == sorted(finer.get(e, []))
+            unchecked = [c for c in found if max(c) == element.num_classes + 1]
+            for k, result in enumerate(found):
+                if max(result) > element.num_classes + 1 and any(below(result, c) for c in unchecked):
+                    assert k not in covers
+                    below_unchecked += 1
+    assert below_unchecked > 40
+
+
 def test_maxima_match_brute_force():
     rng = random.Random(17)
     for _ in range(300):
@@ -559,13 +606,19 @@ def test_maxima_match_brute_force():
         pool = list(all_partitions(n))
         candidates = [p.coloring for p in rng.sample(pool, rng.randint(1, min(12, len(pool))))]
         want = [c for c in candidates if not any(c != d and below(c, d) for d in candidates)]
-        assert sorted(_maxima(candidates)) == sorted(want)
+        assert sorted(_maxima([], candidates)) == sorted(want)
+        # the candidates of the fewest classes are maxima; passed as the
+        # coarsest, they are compared with, and not returned
+        fewest = min(map(max, candidates))
+        top = [c for c in candidates if max(c) == fewest]
+        rest = [c for c in candidates if max(c) > fewest]
+        assert sorted(_maxima(top, rest)) == sorted(c for c in want if max(c) > fewest)
         # with one class count nothing refines anything else
         k = rng.randint(1, n)
         level = [p.coloring for p in pool if max(p.coloring) == k]
         level = rng.sample(level, rng.randint(1, len(level)))
-        assert _maxima(level) == level
-    assert _maxima([]) == []
+        assert _maxima([], level) == level
+    assert _maxima([], []) == []
 
 
 def test_rectangular_family_rejected():

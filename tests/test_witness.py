@@ -315,7 +315,7 @@ def test_each_fixpoint_is_kept_from_one_split():
         for element in lat.elements:
             # with nothing known, no split is answered by lookup
             start = element.joined() if tactical else element.coloring
-            found, examined, _ = _run_task(engine, split_filter, set(), {}, start)
+            found, _, _, examined, _ = _run_task(engine, split_filter, {}, {}, start)
             assert len(found) == len(set(found))
             refined += examined
     assert refined > 4000
@@ -422,7 +422,7 @@ def test_rejected_splits_are_ones_the_guard_drops():
                     split_col, split_classes = _start_state(canonical_coloring(labels))
                     assert _square_fixpoint(engine, split_col, split_classes, witness=members[0]) is None
                     rejected += 1
-            _, examined, _ = _run_task(engine, split_filter, set(), {}, start)
+            _, _, _, examined, _ = _run_task(engine, split_filter, {}, {}, start)
             assert examined == passed
     assert rejected > 3000
 
