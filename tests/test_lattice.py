@@ -376,7 +376,9 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     # a known coloring that no split starts from changes nothing
     split_passes.clear()
     steps = []
-    found, _, _, examined, skipped = _run_task(engine, split_filter, {element: 0}, {}, element, steps.append)
+    found, _, _, examined, skipped = _run_task(
+        engine, split_filter, {element: 0}, {}, element, steps.append
+    )
     got = found, examined, skipped
     assert (got, steps, len(split_passes)) == (want, plain, refined)
     # a split whose start is a known fixpoint is answered by the lookup; had
@@ -387,7 +389,9 @@ def test_known_splits_are_answered_without_a_pass(split_passes, graph, top, all_
     assert answered and (len(answered) == want[1]) == all_known
     split_passes.clear()
     steps = []
-    found, _, _, examined, skipped = _run_task(engine, split_filter, known, {}, element, steps.append)
+    found, _, _, examined, skipped = _run_task(
+        engine, split_filter, known, {}, element, steps.append
+    )
     got = found, examined, skipped
     assert got == want
     assert len(steps) == len(plain) - len(answered)
@@ -593,7 +597,8 @@ def test_results_after_a_strict_step_are_checked_against_the_unchecked_covers():
             assert sorted(found[k] for k in covers) == sorted(finer.get(e, []))
             unchecked = [c for c in found if max(c) == element.num_classes + 1]
             for k, result in enumerate(found):
-                if max(result) > element.num_classes + 1 and any(below(result, c) for c in unchecked):
+                stepped = max(result) > element.num_classes + 1
+                if stepped and any(below(result, c) for c in unchecked):
                     assert k not in covers
                     below_unchecked += 1
     assert below_unchecked > 40
