@@ -17,8 +17,8 @@ the group.  A check that the oracle refuses as past its size caps
 (:class:`synclat.oracle.OracleLimit`) is skipped with the oracle's reason,
 not failed.  ``cir`` computes one partition and has its own check.
 
-Exit codes: 0 success, 2 parse or validation error, 3 element-cap abort,
-4 oracle mismatch under --verify.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 parse or
+validation error, 3 element-cap abort, 4 oracle mismatch under --verify.
 
 Input schemas (all indices 1-based on the wire):
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from typing import Iterator, Optional
@@ -329,7 +330,13 @@ def _cmd_cir(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a reader that closed stdout fails the flush here
+        return code
+    except BrokenPipeError:
+        # as in Python's signal docs: the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ElementCapExceeded as exc:
         print(f"synclat: {exc}", file=sys.stderr)
         return 3

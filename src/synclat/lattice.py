@@ -66,8 +66,11 @@ give one:
 * Guard.  Every step P of the refinement chain from Q satisfies
   L <= P <= Q, so S and every class of E before X stay whole in every step.
   A chain whose step splits S or a class of E before X is abandoned and its
-  result dropped.  Those guarded classes come first in every state of the
-  chain, so the refinement pass stops at the first of them that splits.
+  result dropped.  Q is canonical, with X minus S inserted by its smallest
+  member, and every other class of Q has a smallest member above x0.  So
+  the guarded classes are the first color + 1 of every state of the chain,
+  for X's 0-based index ``color`` in E, and the refinement pass stops at
+  the first of them that splits.
 
 Nothing is lost.  Every lower cover of E is still found, from its own X and
 S, and every kept result is strictly below E and so below some lower cover;
@@ -385,17 +388,19 @@ def _run_task(
     refined; and the number the two stages skipped.
 
     A split keeps the witness S, which holds X's smallest member, in the
-    place of its class X and puts X minus S among the classes by smallest
-    member, so its start is canonical: the classes after X minus S move one
-    color up, in a coloring built once per insertion point and copied for
-    each split.  A start in ``known`` is answered with its index by one
-    lookup, with no pass.  Any other split goes on only if every class
-    before X with two or more members gets one F-weight from S (a member
-    with no entry gets 0); a split that fails could only start a chain that
-    the guard drops.  That check is one exact sum: each member j of X has
-    the code d_j of :func:`_member_code`, made at its first check with the
-    digits ``bits`` wide of :func:`_digit_places`, and the split passes
-    exactly when sum_{j in S} d_j is 0 (see :func:`synclat.refine._digits`).
+    place of its class X and inserts X minus S among the classes by smallest
+    member, at index ``at``, so its start is canonical: the classes after X
+    minus S move one color up, in a coloring built once per insertion point
+    and copied for each split.  The guarded classes, S and those before it,
+    are the first ``color + 1``.  A start in ``known`` is answered with its
+    index by one lookup, with no pass.  Any other split goes on only if
+    every class before X with two or more members gets one F-weight from S
+    (a member with no entry gets 0); a split that fails could only start a
+    chain that the guard drops.  That check is one exact sum: each member j
+    of X has the code d_j of :func:`_member_code`, made at its first check
+    with the digits ``bits`` wide of :func:`_digit_places`, and the split
+    passes exactly when sum_{j in S} d_j is 0 (see
+    :func:`synclat.refine._digits`).
 
     A known start, and a chain with no strict step, keep a result with one
     class more than the element: a lower cover, unchecked (see the module
@@ -441,9 +446,9 @@ def _run_task(
                         continue  # pruned: the guard would drop its chain
                 split_classes = classes.copy()
                 split_classes[color] = inside
-                split_classes.append(outside)
+                split_classes.insert(at, outside)
                 fixpoint = _square_fixpoint(
-                    engine, split_col, split_classes, on_step, members[0]
+                    engine, split_col, split_classes, on_step, color + 1
                 )
                 if fixpoint is None:
                     dropped += 1

@@ -16,7 +16,6 @@ output; Partition deliberately implements neither __lt__ nor __le__.
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .rational import RationalMatrix, _check_declared, _index
@@ -120,10 +119,8 @@ class Partition:
 
     def classes(self) -> tuple:
         """Classes as tuples of elements, ordered by smallest element."""
-        out = [[] for _ in range(self.num_classes)]
-        for i, c in enumerate(self.coloring, start=1):
-            out[c - 1].append(i)
-        return tuple(tuple(cl) for cl in out)
+        _, classes = _start_state(self.coloring)
+        return tuple(tuple(i + 1 for i in members) for members in classes)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.coloring == other.coloring
@@ -221,6 +218,17 @@ def _refines(fine: Sequence[int], coarse: Sequence[int]) -> bool:
     return len(set(zip(fine, coarse))) == max(fine)
 
 
+def _start_state(coloring: Sequence[int]) -> tuple:
+    """The working state ``(col, classes)`` of a canonical coloring, with
+    ``col`` its list and ``classes[c - 1]`` the sorted 0-based members of
+    color c."""
+    col = list(coloring)
+    classes: list = [[] for _ in range(max(col))]
+    for i, c in enumerate(col):
+        classes[c - 1].append(i)
+    return col, classes
+
+
 def _bars(colorings: Sequence[Sequence[int]]) -> list:
     """The bar notation of canonical colorings of one ground set: classes
     by smallest member, joined by '|', and members comma-separated past
@@ -259,10 +267,9 @@ def _class_splits(members: Sequence) -> Iterator[tuple]:
 def iter_cover_colorings(coloring: Sequence[int]) -> Iterator[tuple]:
     """Canonical colorings of all one-class splits of a canonical coloring,
     class by class, each in the order of :func:`_class_splits`."""
-    # a canonical coloring numbers its classes in order of first occurrence
-    fresh = max(coloring) + 1
-    for color in Counter(coloring):
-        members = [i for i, c in enumerate(coloring) if c == color]
+    _, classes = _start_state(coloring)
+    fresh = len(classes) + 1
+    for members in classes:
         for _, outside in _class_splits(members):
             labels = list(coloring)
             for i in outside:

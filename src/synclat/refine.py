@@ -44,7 +44,7 @@ import math
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
-from .partition import Partition, PartitionPair
+from .partition import Partition, PartitionPair, _start_state
 from .rational import RationalMatrix, transpose
 
 Element = Union[Partition, PartitionPair]
@@ -265,23 +265,22 @@ def _filter_table(engine: tuple, start: Sequence[int]) -> tuple:
     return table, _columns(table, len(table)), _base([table]).bit_length()
 
 
-def _split_pass(engine: tuple, classes: list, ncol: list, guard: int = 0) -> tuple:
+def _split_pass(engine: tuple, classes: list, ncol: list, guard: int = 0) -> Optional[list]:
     """One refinement pass: split every class by row key.
 
     ``ncol`` maps a matrix column index to its canonical 1-based color (the
     coloring being refined, or for :func:`directed_containment` the column
     coloring).  Members of a sorted class stay together exactly when their
     keys (see :func:`_pack`) are equal; the new classes are sorted, in order
-    of their first member.  Returns ``(new_classes, changed)`` and mutates
-    nothing, so every class is split against the same state.
+    of their first member.  Returns the new classes, more of them than
+    given exactly when the pass split one, and mutates nothing, so every
+    class is split against the same state.
 
-    The first ``guard`` classes are the guarded ones of
-    :func:`_square_fixpoint`: the pass stops at the first of them that
-    splits and returns ``(None, True)``.
+    The pass returns None as soon as one of the first ``guard`` classes
+    splits.
     """
     rows, pw, ones = engine
     out = []
-    changed = False
     for index, members in enumerate(classes):
         if len(members) < 2:
             out.append(members)
@@ -307,21 +306,10 @@ def _split_pass(engine: tuple, classes: list, ncol: list, guard: int = 0) -> tup
         if len(buckets) == 1:
             out.append(members)
         elif index < guard:
-            return None, True
+            return None
         else:
-            changed = True
             out.extend(buckets.values())
-    return out, changed
-
-
-def _start_state(coloring: Sequence[int]) -> tuple:
-    """The working state ``(col, classes)`` of a canonical coloring, with
-    ``classes[c - 1]`` the sorted members of color c."""
-    col = list(coloring)
-    classes: list = [[] for _ in range(max(col))]
-    for i, c in enumerate(col):
-        classes[c - 1].append(i)
-    return col, classes
+    return out
 
 
 def _square_fixpoint(
@@ -329,51 +317,42 @@ def _square_fixpoint(
     col: list,
     classes: list,
     on_step: Optional[Callable[[tuple], None]] = None,
-    witness: Optional[int] = None,
+    guard: int = 0,
 ) -> Optional[tuple]:
-    """Refine the working state ``(col, classes)``, with ``col`` updated in
-    place, and return the fixed point.  ``col`` is canonical and each class
-    sorted, in any order: each strict step sorts the classes by smallest
-    member and numbers them from 1, so ``col`` stays canonical.
+    """Refine the canonical state ``(col, classes)`` of
+    :func:`synclat.partition._start_state`, with ``col`` updated in place,
+    and return the fixed point.  Each strict step sorts the classes by
+    smallest member and numbers them from 1, so the state stays canonical.
 
     ``on_step`` gets ``tuple(col)`` for the start and each strict step; the
     last one is the result, so a start that the first pass leaves unchanged
     is returned as the tuple already reported.
 
-    ``witness`` is a member x0 of the start that is the smallest of its
-    class.  The guarded classes are the class of x0 and the classes whose
-    smallest members are below x0; the canonical ``col`` gives them the
-    colors 1..col[x0], and ``classes`` lists them first.  The pass stops at
-    the first of them that splits, and the refinement returns None without
-    reporting that step.  Every other class has its smallest member above
-    x0, so a step that splits no guarded class sorts them first again.
+    The first ``guard`` classes must stay whole: the pass stops at the
+    first of them that splits, and the refinement returns None without
+    reporting that step.
     """
     n = len(col)
-    guard = 0 if witness is None else col[witness]
-    step = tuple(col)
-    if on_step is not None:
-        on_step(step)
     for _ in range(n + 1):
-        if len(classes) == n:
-            break
-        classes, changed = _split_pass(engine, classes, col, guard)
-        if not changed:
-            break
+        step = tuple(col)
+        if on_step is not None:
+            on_step(step)
+        count = len(classes)
+        if count == n:
+            return step
+        classes = _split_pass(engine, classes, col, guard)
         if classes is None:
             return None
+        if len(classes) == count:
+            return step
         classes.sort()  # distinct smallest members decide the order
         for label, members in enumerate(classes, 1):
             for i in members:
                 col[i] = label
-        step = tuple(col)
-        if on_step is not None:
-            on_step(step)
-    else:
-        raise AssertionError(
-            "refinement failed to stabilize within the ground-set size; "
-            "this indicates an internal invariant violation"
-        )
-    return step
+    raise AssertionError(
+        "refinement failed to stabilize within the ground-set size; "
+        "this indicates an internal invariant violation"
+    )
 
 
 def _prepare(family: MatrixFamily, part: Element) -> tuple:
@@ -429,7 +408,7 @@ def is_invariant(family: MatrixFamily, part: Element) -> bool:
     synchrony subspace into the row one, and its transpose the reverse."""
     engine, coloring, _ = _prepare(family, part)
     col, classes = _start_state(coloring)
-    return not _split_pass(engine, classes, col)[1]
+    return len(_split_pass(engine, classes, col)) == len(classes)
 
 
 def directed_containment(
@@ -444,8 +423,7 @@ def directed_containment(
             f"family shape {family.rows}x{family.cols}"
         )
     _, classes = _start_state(row_part.coloring)
-    _, changed = _split_pass(family.engine(), classes, col_part.coloring)
-    return not changed
+    return len(_split_pass(family.engine(), classes, col_part.coloring)) == len(classes)
 
 
 def is_tactical(family: MatrixFamily, pair: PartitionPair) -> bool:

@@ -677,6 +677,34 @@ def test_module_entry_point():
     assert verify_lines(proc.stderr) == ["verify ok (lattice): 11 elements, 16 cover edges"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "--matrices", path("fig1.json")],
+        ["tactical", "--incidence", path("fano.json"), "--format", "json"],
+    ],
+)
+def test_closed_stdout_exits_1_without_a_message(argv):
+    # as in `synclat tactical ... | head`: the reader is gone before the
+    # first write, which is not a parse error
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "synclat.cli", *argv],
+            env=env,
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 # the input options that read each tests/data file
 FUZZ_SOURCES = {
     "bad_float.json": ("matrices",),

@@ -118,7 +118,7 @@ def test_witness_guard_reports_steps_until_the_witness_splits():
     engine = MatrixFamily([cycle_graph(8)]).engine()
     start = Partition.from_bar("1267|3458", 8)
     steps = []
-    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, 0)
+    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, 1)
     assert got is None
     assert [Partition(c).bar() for c in steps] == ["1267|3458", "1267|35|4|8"]
     # a split of K_n is its own fixpoint: the start is the one report and
@@ -126,7 +126,7 @@ def test_witness_guard_reports_steps_until_the_witness_splits():
     engine = MatrixFamily([complete_graph(6)]).engine()
     start = Partition.from_bar("125|346", 6)
     steps = []
-    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, 0)
+    got = _square_fixpoint(engine, *_start_state(start.coloring), steps.append, 1)
     assert steps == [start.coloring]
     assert got is steps[0]
 
@@ -268,14 +268,8 @@ def test_cancelling_row_keys_like_an_empty_row():
     # row 1 sends +1 and -1 into class {3, 4}: its in-weight there is 0, the
     # same as the empty rows 2-4
     fam = MatrixFamily([[[0, 0, 1, -1], [0] * 4, [0] * 4, [0] * 4]])
-    assert _split_pass(fam.engine(), [[0, 1, 2, 3]], [1, 1, 2, 2]) == (
-        [[0, 1, 2, 3]],
-        False,
-    )
-    assert _split_pass(fam.engine(), [[0, 1, 2, 3]], [1, 1, 2, 3]) == (
-        [[0], [1, 2, 3]],
-        True,
-    )
+    assert _split_pass(fam.engine(), [[0, 1, 2, 3]], [1, 1, 2, 2]) == [[0, 1, 2, 3]]
+    assert _split_pass(fam.engine(), [[0, 1, 2, 3]], [1, 1, 2, 3]) == [[0], [1, 2, 3]]
     for bar, expected in (("12|34", True), ("1234", True), ("12|3|4", False)):
         part = Partition.from_bar(bar, 4)
         assert is_invariant(fam, part) is expected
@@ -287,7 +281,7 @@ def test_row_keys_do_not_carry_between_digits():
     # key base of 3 (below 2R + 1 = 5 for the row sum R = 2) would make
     # -1 + 3 == 2 and merge the two rows
     fam = MatrixFamily([[[-1, 0, 1], [1, 1, 0], [0, 0, 0]]])
-    assert _split_pass(fam.engine(), [[0, 1, 2]], [1, 1, 2]) == ([[0], [1], [2]], True)
+    assert _split_pass(fam.engine(), [[0, 1, 2]], [1, 1, 2]) == [[0], [1], [2]]
     part = Partition.from_bar("12|3", 3)
     assert not is_invariant(fam, part)
     assert part not in brute_invariant_set(fam)
@@ -302,11 +296,9 @@ def rand_zero_one(rng, m, n):
     return out
 
 
-def test_guarded_pass_stops_where_a_guarded_class_splits():
-    # the first ``guard`` classes of a canonical state are guarded: the pass
-    # is the unguarded one while none of them splits, and (None, True) once
-    # one does
-    rng = random.Random(26)
+def rand_engines(rng):
+    """160 engines: random rational and 0/1 square families, and the block
+    engines of random rectangular ones."""
     engines = []
     for _ in range(40):
         n = rng.randint(1, 8)
@@ -315,6 +307,14 @@ def test_guarded_pass_stops_where_a_guarded_class_splits():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         engines.append(rand_rect_family(rng, m, n).block_engine())
         engines.append(MatrixFamily([rand_zero_one(rng, m, n)]).block_engine())
+    return engines
+
+
+def test_guarded_pass_stops_where_a_guarded_class_splits():
+    # the first ``guard`` classes of a canonical state are guarded: the pass
+    # is the unguarded one while none of them splits, and None once one does
+    rng = random.Random(26)
+    engines = rand_engines(rng)
     assert {engine[2] for engine in engines} == {True, False}
     stopped = 0
     for engine in engines:
@@ -322,15 +322,49 @@ def test_guarded_pass_stops_where_a_guarded_class_splits():
         for _ in range(5):
             col, classes = _start_state(rand_partition(rng, n).coloring)
             unguarded = _split_pass(engine, classes, col)
-            splits = [_split_pass(engine, [members], col)[1] for members in classes]
+            splits = [len(_split_pass(engine, [members], col)) > 1 for members in classes]
             for guard in range(len(classes) + 1):
                 got = _split_pass(engine, classes, col, guard)
                 if any(splits[:guard]):
-                    assert got == (None, True)
+                    assert got is None
                     stopped += 1
                 else:
                     assert got == unguarded
     assert stopped > 100
+
+
+def test_guard_count_holds_along_whole_chains():
+    # the first ``guard`` classes of a canonical start stay the first classes
+    # of every step that keeps them whole: the guarded refinement is the
+    # unguarded chain up to the step that splits one of them, and None there
+    rng = random.Random(28)
+    stopped = late = kept = 0
+    for engine in rand_engines(rng):
+        n = len(engine[0])
+        for _ in range(20):
+            start = rand_partition(rng, n).coloring
+            chain = []
+            result = _square_fixpoint(engine, *_start_state(start), chain.append)
+            assert result is not None
+            whole = [set(map(tuple, _start_state(c)[1])) for c in chain]
+            classes = list(map(tuple, _start_state(start)[1]))
+            for guard in range(len(classes) + 1):
+                steps = []
+                got = _square_fixpoint(engine, *_start_state(start), steps.append, guard)
+                guarded = classes[:guard]
+                if all(y in whole[-1] for y in guarded):
+                    assert got == result
+                    assert steps == chain
+                    kept += 1
+                else:
+                    assert got is None
+                    split = next(
+                        t for t, w in enumerate(whole) if any(y not in w for y in guarded)
+                    )
+                    assert steps == chain[:split]
+                    stopped += 1
+                    late += split > 1
+    assert stopped > 100 and kept > 100 and late > 5
 
 
 def test_all_ones_rows_key_like_general_rows():

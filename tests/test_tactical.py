@@ -413,7 +413,7 @@ def test_witness_guard_stops_when_an_earlier_class_splits():
     ]
     steps = []
     engine = family.block_engine()
-    got = _square_fixpoint(engine, *_start_state(start.joined()), steps.append, 4)
+    got = _square_fixpoint(engine, *_start_state(start.joined()), steps.append, 3)
     assert got is None
     assert steps == [p.joined() for p in chain[:2]]
 

@@ -420,7 +420,10 @@ def test_rejected_splits_are_ones_the_guard_drops():
                     for i in outside:
                         labels[i] = len(classes) + 1
                     split_col, split_classes = _start_state(canonical_coloring(labels))
-                    assert _square_fixpoint(engine, split_col, split_classes, witness=members[0]) is None
+                    assert (
+                        _square_fixpoint(engine, split_col, split_classes, guard=color + 1)
+                        is None
+                    )
                     rejected += 1
             _, _, _, examined, _ = _run_task(engine, split_filter, {}, {}, start)
             assert examined == passed
